@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test smoke smoke-multicall smoke-cache bench bench-trace bench-cache
+.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test claims smoke smoke-multicall smoke-cache bench bench-trace bench-cache perf perf-smoke
 
 check: lint test smoke
 
@@ -30,6 +30,10 @@ lint-sarif:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The 22 paper-claim checks under benchmarks/, without the timing harness.
+claims:
+	$(PYTHON) -m pytest benchmarks --benchmark-disable -q
 
 smoke:
 	$(PYTHON) -m repro sweep --smoke
@@ -59,3 +63,15 @@ bench-trace:
 # (warm sweep >= 5x cold, cache-hit JSONL byte-identical to fresh runs).
 bench-cache:
 	$(PYTHON) -m repro bench --only scenario_cache --check --out /tmp/BENCH_cache.json
+
+# The repository benchmark: five closed-loop workloads, end-to-end and
+# per-layer metrics (perf/README.md). A single workload:
+#   python3 perf/run.py --workload sweep_warm --seconds 15 --trace 0
+perf:
+	python3 perf/run.py
+
+# Every perf workload in smoke mode (5 operations per phase), plus the
+# benchmark's self-tests.
+perf-smoke:
+	python3 perf/run.py --smoke
+	$(PYTHON) -m pytest perf -q

@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..sim.units import TimeUs, US_PER_SEC, us_to_ms
+from ..trace.columnar import ChannelView
 from ..trace.schema import CapturePoint, FrameRecord, MediaKind, PacketRecord
+
+#: Packet kinds counted toward the received media bitrate.
+_MEDIA_KINDS = (MediaKind.VIDEO, MediaKind.AUDIO)
 
 SSIM_MAX = 0.90
 SSIM_SPAN = 0.105
@@ -62,19 +67,43 @@ class QoeSummary:
         }
 
 
+def _project(records: Sequence, *fields: Union[str, CapturePoint]) -> List[list]:
+    """Per-field value lists of ``records``, in row order.
+
+    A field is a record attribute name, or a :class:`CapturePoint` for each
+    packet's stamp at that tap (None where unseen).  A columnar
+    :class:`~repro.trace.columnar.ChannelView` decodes the fields straight
+    from its columns without building a record; any other sequence is read
+    record by record.  The QoE metrics below read their inputs only
+    through here, so both trace stores share one implementation.
+    """
+    if isinstance(records, ChannelView):
+        return [
+            records.captures_at(f.value)
+            if isinstance(f, CapturePoint)
+            else records.column(f)
+            for f in fields
+        ]
+    return [
+        [r.captures.get(f.value) for r in records]
+        if isinstance(f, CapturePoint)
+        else list(map(attrgetter(f), records))
+        for f in fields
+    ]
+
+
 def windowed_receive_bitrate_kbps(
     packets: Sequence[PacketRecord],
     window_us: TimeUs = US_PER_SEC,
     point: CapturePoint = CapturePoint.RECEIVER,
 ) -> List[float]:
     """Received media bitrate per window (Fig 7a / Fig 8 top)."""
-    arrivals: List[Tuple[TimeUs, int]] = []
-    for p in packets:
-        if p.kind not in (MediaKind.VIDEO, MediaKind.AUDIO):
-            continue
-        t = p.capture_at(point)
-        if t is not None:
-            arrivals.append((t, p.size_bytes))
+    kinds, sizes, stamps = _project(packets, "kind", "size_bytes", point)
+    arrivals: List[Tuple[TimeUs, int]] = [
+        (t, size)
+        for kind, size, t in zip(kinds, sizes, stamps)
+        if t is not None and kind in _MEDIA_KINDS
+    ]
     if not arrivals:
         return []
     arrivals.sort()
@@ -94,14 +123,25 @@ def frame_level_jitter_ms(frames: Sequence[FrameRecord]) -> List[float]:
     Arrival of a frame is the arrival of its last packet, approximated here
     by the recorded render-ready time.
     """
+    return _jitter(*_project(frames, "stream", "capture_us", "rendered_us"))
+
+
+def _jitter(
+    streams: List[str], capture: List[TimeUs], rendered: List[Optional[TimeUs]]
+) -> List[float]:
+    # Stable sort: frames captured at the same instant keep row order.
     complete = sorted(
-        (f for f in frames if f.rendered_us is not None and f.stream == "video"),
-        key=lambda f: f.capture_us,
+        (
+            (c, r)
+            for s, c, r in zip(streams, capture, rendered)
+            if r is not None and s == "video"
+        ),
+        key=itemgetter(0),
     )
     jitter: List[float] = []
-    for prev, cur in zip(complete, complete[1:]):
-        d_arrival = cur.rendered_us - prev.rendered_us
-        d_capture = cur.capture_us - prev.capture_us
+    for (prev_c, prev_r), (cur_c, cur_r) in zip(complete, complete[1:]):
+        d_arrival = cur_r - prev_r
+        d_capture = cur_c - prev_c
         jitter.append(abs(us_to_ms(d_arrival - d_capture)))
     return jitter
 
@@ -110,10 +150,14 @@ def frame_rate_series(
     frames: Sequence[FrameRecord], window_us: TimeUs = US_PER_SEC
 ) -> List[float]:
     """Rendered video frames per second, per window (Fig 7c / Fig 8 middle)."""
+    return _frame_rate(*_project(frames, "stream", "rendered_us"), window_us)
+
+
+def _frame_rate(
+    streams: List[str], rendered_us: List[Optional[TimeUs]], window_us: TimeUs
+) -> List[float]:
     rendered = sorted(
-        f.rendered_us
-        for f in frames
-        if f.rendered_us is not None and f.stream == "video"
+        r for s, r in zip(streams, rendered_us) if r is not None and s == "video"
     )
     if not rendered:
         return []
@@ -128,10 +172,16 @@ def frame_rate_series(
 
 def ssim_values(frames: Sequence[FrameRecord]) -> List[float]:
     """SSIM of every rendered video frame (Fig 7d)."""
+    return _ssim(*_project(frames, "stream", "rendered_us", "ssim"))
+
+
+def _ssim(
+    streams: List[str], rendered: List[Optional[TimeUs]], ssim: List[Optional[float]]
+) -> List[float]:
     return [
-        f.ssim
-        for f in frames
-        if f.ssim is not None and f.rendered_us is not None and f.stream == "video"
+        q
+        for s, r, q in zip(streams, rendered, ssim)
+        if q is not None and r is not None and s == "video"
     ]
 
 
@@ -141,18 +191,22 @@ def qoe_summary(
     window_us: TimeUs = US_PER_SEC,
 ) -> QoeSummary:
     """Aggregate all Fig 7 metrics for one experiment run."""
-    video_frames = [f for f in frames if f.stream == "video"]
+    streams, capture, rendered, ssim, stalled = _project(
+        frames, "stream", "capture_us", "rendered_us", "ssim", "stalled"
+    )
     delays = [
-        us_to_ms(f.rendered_us - f.capture_us)
-        for f in video_frames
-        if f.rendered_us is not None
+        us_to_ms(r - c)
+        for s, c, r in zip(streams, capture, rendered)
+        if r is not None and s == "video"
     ]
     return QoeSummary(
         receive_bitrate_kbps=windowed_receive_bitrate_kbps(packets, window_us),
-        frame_jitter_ms=frame_level_jitter_ms(frames),
-        frame_rate_fps=frame_rate_series(frames, window_us),
-        ssim=ssim_values(frames),
-        stall_count=sum(1 for f in video_frames if f.stalled),
+        frame_jitter_ms=_jitter(streams, capture, rendered),
+        frame_rate_fps=_frame_rate(streams, rendered, window_us),
+        ssim=_ssim(streams, rendered, ssim),
+        stall_count=sum(
+            1 for s, stall in zip(streams, stalled) if stall and s == "video"
+        ),
         mean_frame_delay_ms=float(np.mean(delays)) if delays else float("nan"),
     )
 

@@ -10,6 +10,7 @@ from .batch import (
     BatchExecutor,
     BatchRun,
     RunSpec,
+    WorkerCrashError,
     collect_call_summaries,
     collect_qoe,
     collect_summary,
@@ -73,6 +74,7 @@ __all__ = [
     "SessionBuilder",
     "SessionContext",
     "SessionResult",
+    "WorkerCrashError",
     "collect_call_summaries",
     "collect_qoe",
     "collect_summary",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +53,22 @@ class BatchRun:
 
     label: str
     value: Any
+
+
+class WorkerCrashError(RuntimeError):
+    """A pool worker died mid-batch (killed, crashed, or exited).
+
+    Raised in place of the bare :class:`BrokenProcessPool`, naming the
+    labels of the specs that batch dispatched.  The broken pool has already
+    been reaped; the next batch forks a fresh one.
+    """
+
+    def __init__(self, labels: Sequence[str]) -> None:
+        self.labels = list(labels)
+        super().__init__(
+            "a batch worker process died while running "
+            f"{len(self.labels)} scenario(s): {', '.join(self.labels)}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -232,11 +249,11 @@ class BatchExecutor:
     ) -> List[Any]:
         """Order-preserving map over ``tasks`` on the warm pool.
 
-        If draining the results raises — a worker exception, or a collect
-        callback failing mid-batch — the pool is shut down before the
-        exception propagates: a warm pool held across sweep phases must
-        not leak its worker processes past a failed phase.  The next
-        :meth:`map` call lazily forks a fresh pool.
+        If draining the results raises — a worker exception, a worker
+        process dying, or a collect callback failing mid-batch — the pool
+        is shut down before the exception propagates: a warm pool held
+        across sweep phases must not leak its worker processes past a
+        failed phase.  The next :meth:`map` call lazily forks a fresh pool.
         """
         self.phases_run += 1
         if self.jobs == 1 or len(tasks) <= 1:
@@ -274,24 +291,32 @@ class BatchExecutor:
 def _map_tasks(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
+    labels: Sequence[str],
     jobs: Optional[int],
     executor: Optional[BatchExecutor],
     chunksize: Optional[int],
 ) -> List[Any]:
-    """Dispatch ``tasks`` through the warm pool, a fresh pool, or in-process."""
-    if executor is not None:
-        return executor.map(fn, tasks, chunksize=chunksize)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(tasks) or 1))
-    if jobs == 1:
-        return [fn(task) for task in tasks]
-    if chunksize is None:
-        chunksize = _adaptive_chunksize(len(tasks), jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # Executor.map preserves input order regardless of completion
-        # order, which is what keeps batches drop-in for serial loops.
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    """Dispatch ``tasks`` through the warm pool, a fresh pool, or in-process.
+
+    A worker that dies mid-batch surfaces as :class:`WorkerCrashError`
+    naming ``labels`` (one per task).
+    """
+    try:
+        if executor is not None:
+            return executor.map(fn, tasks, chunksize=chunksize)
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        jobs = max(1, min(jobs, len(tasks) or 1))
+        if jobs == 1:
+            return [fn(task) for task in tasks]
+        if chunksize is None:
+            chunksize = _adaptive_chunksize(len(tasks), jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # Executor.map preserves input order regardless of completion
+            # order, which is what keeps batches drop-in for serial loops.
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        raise WorkerCrashError(labels) from exc
 
 
 def run_batch(
@@ -331,7 +356,8 @@ def run_batch(
     """
     if cache is None and not dedup:
         tasks = [(spec, collect) for spec in specs]
-        values = _map_tasks(_run_one, tasks, jobs, executor, chunksize)
+        labels = [spec.label for spec in specs]
+        values = _map_tasks(_run_one, tasks, labels, jobs, executor, chunksize)
         return [
             BatchRun(label=spec.label, value=value)
             for spec, value in zip(specs, values)
@@ -351,7 +377,10 @@ def run_batch(
     values_by_key: Dict[str, Any] = {}
     if cache is None:
         unique_tasks = [(specs[i], collect) for i in first_index.values()]
-        values = _map_tasks(_run_one, unique_tasks, jobs, executor, chunksize)
+        labels = [spec.label for spec, _ in unique_tasks]
+        values = _map_tasks(
+            _run_one, unique_tasks, labels, jobs, executor, chunksize
+        )
         values_by_key = dict(zip(first_index, values))
     else:
         miss_keys: List[str] = []
@@ -363,9 +392,11 @@ def run_batch(
                 values_by_key[key] = collect(
                     rehydrate_result(specs[i].config, *blobs)
                 )
-        miss_configs = [specs[first_index[key]].config for key in miss_keys]
+        miss_specs = [specs[first_index[key]] for key in miss_keys]
+        miss_configs = [spec.config for spec in miss_specs]
         entries = _map_tasks(
-            _run_cache_entry, miss_configs, jobs, executor, chunksize
+            _run_cache_entry, miss_configs, [spec.label for spec in miss_specs],
+            jobs, executor, chunksize,
         )
         for key, config, (payload, summary) in zip(
             miss_keys, miss_configs, entries

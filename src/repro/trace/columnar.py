@@ -99,6 +99,12 @@ class _Column:
         """JSON-ready values for rows ``[start, stop)`` in one pass."""
         return [self.json_value(i) for i in range(start, stop)]
 
+    def values(self, start: int, stop: int) -> List[object]:
+        """Decoded values (as :meth:`get` returns them) for rows
+        ``[start, stop)`` in one pass.  For every kind but enums and
+        structs the JSON-ready value *is* the decoded value."""
+        return self.json_list(start, stop)
+
     # -- payload (de)serialization -------------------------------------
     def dump(self) -> Tuple[Dict[str, object], List[array]]:
         """``(json-able meta, flat buffers)`` describing this column."""
@@ -316,6 +322,12 @@ class EnumColumn(StrColumn):
             self._members.append(self.enum_type(self.table[len(self._members)]))
         return self._members[code]
 
+    def values(self, start: int, stop: int) -> List[object]:
+        members = self._members
+        while len(members) < len(self.table):
+            members.append(self.enum_type(self.table[len(members)]))
+        return [members[code] for code in self.data[start:stop]]
+
     def json_value(self, i: int) -> object:
         return self.table[self.data[i]]
 
@@ -418,6 +430,21 @@ class CapturesColumn(_Column):
             for i, code in enumerate(self.key_codes[start:stop], start)
         ]
 
+    def stamps(self, tap: str, stop: int) -> List[Optional[int]]:
+        """Each of rows ``[0, stop)``'s stamp at ``tap`` (None if unseen).
+
+        ``tap``'s position is looked up once per interned key tuple, so a
+        row costs one pool read instead of a dict build.
+        """
+        positions = [
+            keys.index(tap) if tap in keys else None for keys in self.key_tables
+        ]
+        offsets, pool = self.offsets, self.pool
+        return [
+            None if pos is None else pool[offsets[i] + pos]
+            for i, pos in enumerate(map(positions.__getitem__, self.key_codes[:stop]))
+        ]
+
     def dump(self) -> Tuple[Dict[str, object], List[array]]:
         meta = {"key_tables": [list(keys) for keys in self.key_tables]}
         return meta, [self.key_codes, self.offsets, self.pool]
@@ -460,6 +487,9 @@ class StructColumn(_Column):
         if not self.present[i]:
             return None
         return self.struct_type(*(column.get(i) for column in self.columns))
+
+    def values(self, start: int, stop: int) -> List[object]:
+        return [self.get(i) for i in range(start, stop)]
 
     def json_value(self, i: int) -> object:
         if not self.present[i]:
@@ -751,6 +781,21 @@ class ChannelStore:
             self._cache[row] = cached
         return cached
 
+    def column(self, name: str) -> List[object]:
+        """Field ``name`` of every row, decoded without building records."""
+        values = self.columns[self.names.index(name)].values(0, self._base)
+        values.extend(getattr(entry[0], name) for entry in self._staged[self._head :])
+        return values
+
+    def captures_at(self, tap: str) -> List[Optional[int]]:
+        """Every row's capture stamp at ``tap`` (None where never seen)."""
+        captures = self.columns[self.names.index("captures")]
+        stamps = captures.stamps(tap, self._base)  # type: ignore[attr-defined]
+        stamps.extend(
+            entry[0].captures.get(tap) for entry in self._staged[self._head :]
+        )
+        return stamps
+
     def json_row(self, row: int) -> Dict[str, object]:
         """The row as the JSON-able dict the record writer would produce."""
         if row >= self._base:
@@ -853,6 +898,20 @@ class ChannelView:
         store = self._store
         for i in range(store.rows):
             yield store.get(i)
+
+    def column(self, name: str) -> List[object]:
+        """One scalar field of every row, in row order, as a plain list.
+
+        Decodes straight from the column arrays (int, float, bool, str,
+        enum and their optional forms), so no record object is built —
+        the read path for consumers that need a few fields of many rows.
+        """
+        return self._store.column(name)
+
+    def captures_at(self, tap: str) -> List[Optional[int]]:
+        """Each packet row's capture stamp at ``tap`` (a
+        :class:`~repro.trace.schema.CapturePoint` value), None if unseen."""
+        return self._store.captures_at(tap)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ChannelView):

@@ -12,6 +12,7 @@ from repro.run.batch import (
     BatchExecutor,
     RunSpec,
     TRACE_TRANSPORTS,
+    WorkerCrashError,
     _adaptive_chunksize,
     collect_qoe,
     collect_summary,
@@ -170,6 +171,27 @@ class TestExecutorLifecycle:
         ex.close()
         assert ex._pool is None
 
+    def test_worker_crash_names_the_batch_and_reaps_the_pool(self):
+        ex = BatchExecutor(jobs=2)
+        ex.map(_square, [1, 2, 3])
+        workers = list(ex._pool._processes.values())
+        specs = _specs(2, duration_s=0.2)
+        with pytest.raises(WorkerCrashError) as info:
+            run_batch(specs, collect=_die, executor=ex)
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.labels == ["seed1", "seed2"]
+        assert "seed1, seed2" in str(info.value)
+        assert ex._pool is None
+        assert not any(worker.is_alive() for worker in workers)
+        # The next batch forks a fresh pool and runs normally.
+        with ex:
+            runs = run_batch(specs, collect=collect_qoe, executor=ex)
+        assert [r.label for r in runs] == ["seed1", "seed2"]
+
+    def test_worker_crash_on_a_fresh_pool(self):
+        with pytest.raises(WorkerCrashError, match="seed1, seed2"):
+            run_batch(_specs(2, duration_s=0.2), collect=_die, jobs=2)
+
 
 def _square(x):
     return x * x
@@ -177,6 +199,10 @@ def _square(x):
 
 def _boom(result):
     raise RuntimeError("collector failure")
+
+
+def _die(result):
+    os._exit(1)  # a worker killed mid-batch, as by the OOM killer
 
 
 class TestBatchExecutor:

@@ -26,8 +26,15 @@ from repro.trace import (
     save_trace,
     write_trace_jsonl,
 )
-from repro.trace.columnar import ColumnarTrace, trace_from_payload
+from repro.trace.bus import CHANNEL_FIELDS
+from repro.trace.columnar import (
+    CHANNEL_SCHEMAS,
+    TRANSPOSE_BATCH,
+    ColumnarTrace,
+    trace_from_payload,
+)
 from repro.trace.schema import (
+    CapturePoint,
     FrameRecord,
     MediaKind,
     PacketRecord,
@@ -237,12 +244,43 @@ def test_columnar_rows_equal_in_memory_for_random_sessions(data):
     # Mid-session: open (non-final) records must already be visible.
     mid_mem = mem.result_trace()
     mid_col = col.result_trace()
+    _assert_column_readers_match(mid_col, mid_mem)
     for family in FAMILIES:
         assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
     mem.close()
     col.close()
+    _assert_column_readers_match(mid_col, mid_mem)
     for family in FAMILIES:
         assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
+
+
+def _scalar_fields(channel):
+    """Fields of ``channel`` that ``ChannelView.column`` decodes."""
+    scalar = ("int", "optint", "float", "optfloat", "bool", "str")
+    return [
+        name
+        for name, kind in CHANNEL_SCHEMAS[channel][1].items()
+        if kind in scalar or (isinstance(kind, tuple) and kind[0] == "enum")
+    ]
+
+
+def _typed(values):
+    # Pair each value with its type: 0 == False and MediaKind.VIDEO ==
+    # "video", so plain equality would hide a mis-decoded column.
+    return [(type(v), v) for v in values]
+
+
+def _assert_column_readers_match(col, mem):
+    """Column readers on ``col`` equal field reads on ``mem``'s records."""
+    for channel, family in CHANNEL_FIELDS.items():
+        records = getattr(mem, family)
+        view = getattr(col, family)
+        for name in _scalar_fields(channel):
+            want = [getattr(record, name) for record in records]
+            assert _typed(view.column(name)) == _typed(want), (family, name)
+    for tap in CapturePoint:
+        want = [packet.capture_at(tap) for packet in mem.packets]
+        assert col.packets.captures_at(tap.value) == want, tap
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +346,52 @@ class TestChannelView:
         sink.finalize(record)
         sink.close()
         assert trace.probes[0].received_us == 777
+
+
+class TestColumnReaders:
+    def test_columns_span_transposed_and_staged_rows(self):
+        sink = ColumnarSink()
+        records = [
+            ProbeRecord(probe_id=i, sent_us=i * 10,
+                        received_us=None if i % 3 else i * 10 + 5)
+            for i in range(TRANSPOSE_BATCH + 40)
+        ]
+        for record in records:
+            sink.emit("probe", record)
+        live = ProbeRecord(probe_id=-1, sent_us=0)
+        sink.emit("probe", live, final=False)
+        trace = sink.result_trace()
+        store = trace.stores["probe"]
+        assert 0 < store._base < store.rows  # both halves are present
+        live.received_us = 123  # a staged row reads its live state
+        records.append(live)
+        for name in ("probe_id", "sent_us", "received_us", "call_id"):
+            assert trace.probes.column(name) == [getattr(r, name) for r in records]
+        assert store._cache == {}  # no row was materialized
+
+    def test_captures_at_reads_each_tap(self):
+        sink = ColumnarSink()
+        packets = []
+        for i, taps in enumerate([("sender", "core"), ("core", "sender"), (), ("receiver",)]):
+            packet = PacketRecord(packet_id=i, flow_id="v", kind=MediaKind.VIDEO,
+                                  size_bytes=100)
+            for k, tap in enumerate(taps):
+                packet.captures[tap] = 1_000 * i + k
+            packets.append(packet)
+            sink.emit("packet", packet)
+        sink.close()
+        view = sink.result_trace().packets
+        assert view.captures_at("sender") == [0, 1_001, None, None]
+        assert view.captures_at("core") == [1, 1_000, None, None]
+        assert view.captures_at("receiver") == [None, None, None, 3_000]
+        assert view.captures_at("sfu") == [None] * 4
+
+    def test_readers_survive_the_payload_round_trip(self):
+        col = _run(ScenarioConfig(seed=23, duration_s=1.0), ColumnarSink())
+        rebuilt = trace_from_payload(col.to_payload())
+        mem = _run(ScenarioConfig(seed=23, duration_s=1.0), InMemorySink(Trace()))
+        _assert_column_readers_match(rebuilt, mem)
+        assert all(store._cache == {} for store in rebuilt.stores.values())
 
 
 # ---------------------------------------------------------------------------
