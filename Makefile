@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test claims smoke smoke-multicall smoke-cache bench bench-trace bench-cache perf perf-smoke
+.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test claims smoke smoke-multicall smoke-cache perf perf-smoke
 
 check: lint test smoke
 
@@ -31,7 +31,8 @@ lint-sarif:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The 22 paper-claim checks under benchmarks/, without the timing harness.
+# The 22 paper-claim checks under benchmarks/ plus the speedup floors in
+# benchmarks/test_perf_floors.py (pytest-benchmark timing disabled).
 claims:
 	$(PYTHON) -m pytest benchmarks --benchmark-disable -q
 
@@ -50,19 +51,6 @@ smoke-cache:
 	$(PYTHON) -m repro sweep --smoke --cache-dir /tmp/athena-smoke-cache \
 		| tee /tmp/athena-smoke-cache.log
 	grep -E "cache: hits=[1-9]" /tmp/athena-smoke-cache.log
-
-bench:
-	$(PYTHON) -m repro bench
-
-# Just the columnar trace fast path, gated against its committed floors
-# (trace_emit >= 2.0x emission, sweep_transport >= 1.5x sweep wall-clock).
-bench-trace:
-	$(PYTHON) -m repro bench --only trace_emit,sweep_transport --check --out /tmp/BENCH_trace.json
-
-# Just the scenario result cache, gated against its committed floor
-# (warm sweep >= 5x cold, cache-hit JSONL byte-identical to fresh runs).
-bench-cache:
-	$(PYTHON) -m repro bench --only scenario_cache --check --out /tmp/BENCH_cache.json
 
 # The repository benchmark: five closed-loop workloads, end-to-end and
 # per-layer metrics (perf/README.md). A single workload:

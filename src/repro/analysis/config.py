@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 DEFAULT_PATHS = ["src", "examples"]
 DEFAULT_RULE_OPTIONS: Dict[str, Dict[str, object]] = {
-    "ATH001": {"exempt": ["benchmarks", "repro/bench.py"]},
+    "ATH001": {"exempt": ["benchmarks"]},
     "ATH002": {"exempt": ["sim/random.py"]},
     "ATH006": {"exempt": ["sim/engine.py"]},
     # The trace package owns the record lists (sinks, JSONL loader), and

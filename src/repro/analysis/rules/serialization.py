@@ -1,14 +1,13 @@
 """ATH010 — no per-record serialization calls inside hot loops.
 
 A ``json.dumps`` (or ``dataclasses.asdict``) per record inside a loop is
-the pattern the columnar trace backend exists to kill: every record pays
+the pattern the columnar trace format exists to kill: every record pays
 encoder start-up and a full attribute walk, and the surrounding loop turns
 an O(batch) write into O(records) calls.  Hot paths must hand whole
 batches to the batch encoder (:func:`repro.trace.io.encode_jsonl_batch` /
 :meth:`~repro.trace.columnar.ChannelStore.json_rows`) instead.  The batch
 encoder itself and the SARIF exporter (cold path, spec-driven nesting) are
-exempt via config, as is the bench harness whose *measured legacy
-baseline* is exactly this anti-pattern.
+exempt via config.
 """
 
 from __future__ import annotations

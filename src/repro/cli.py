@@ -6,7 +6,6 @@ Examples::
     athena-repro analyze trace.jsonl
     athena-repro figure fig5
     athena-repro sweep duplexing
-    athena-repro bench --smoke
 """
 
 from __future__ import annotations
@@ -196,21 +195,6 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
     print(f"\nWrote {report_path}")
     _print_cache_stats(cache)
     set_experiment_cache(None)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_bench
-
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",") if name.strip()]
-    payload = run_bench(
-        out_path=args.out, smoke=args.smoke, reps=args.reps, only=only
-    )
-    if not payload["ok"] and args.check:
-        print("bench: speedup below the regression floor", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -417,22 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run athena-lint (determinism & unit-safety rules ATH001-ATH011)",
         add_help=False,
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf-regression benchmarks and write BENCH_perf.json",
-    )
-    bench.add_argument("--out", default="BENCH_perf.json")
-    bench.add_argument("--smoke", action="store_true",
-                       help="fast CI mode: fewer reps, shorter sessions")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="override repetitions for every benchmark")
-    bench.add_argument("--only", default=None,
-                       help="comma-separated benchmark names to run "
-                            "(e.g. trace_emit,sweep_transport)")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero if a speedup floor is missed")
-    bench.set_defaults(fn=_cmd_bench)
 
     sweep = sub.add_parser(
         "sweep",

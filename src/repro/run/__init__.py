@@ -32,7 +32,6 @@ from .builder import (
     CallContext,
     SessionBuilder,
     SessionContext,
-    default_sink,
     make_channel,
     make_estimator,
     register_access,
@@ -46,7 +45,6 @@ from .scenario import (
     KNOWN_ACCESS,
     KNOWN_CHANNELS,
     KNOWN_ESTIMATORS,
-    KNOWN_TRACE_BACKENDS,
     MONITORED_UE_ID,
     CallResult,
     CallSpec,
@@ -66,7 +64,6 @@ __all__ = [
     "KNOWN_CHANNELS",
     "KNOWN_ESTIMATORS",
     "DEFAULT_CACHE_DIR",
-    "KNOWN_TRACE_BACKENDS",
     "MONITORED_UE_ID",
     "RunSpec",
     "ScenarioCache",
@@ -81,7 +78,6 @@ __all__ = [
     "code_version_token",
     "collect_trace",
     "collect_trace_payload",
-    "default_sink",
     "scenario_fingerprint",
     "make_channel",
     "make_estimator",

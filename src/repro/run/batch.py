@@ -145,49 +145,6 @@ def collect_trace_payload(result: SessionResult) -> bytes:
     return columnar_trace_from_trace(result.trace).to_payload()
 
 
-def collect_trace_shm(result: SessionResult) -> Tuple[str, int]:
-    """Like :func:`collect_trace_payload` via ``multiprocessing.shared_memory``.
-
-    The worker copies the payload into a shared-memory segment and returns
-    only ``(segment name, byte length)`` over the result pipe; the parent
-    maps, decodes, and unlinks the segment (:func:`load_shared_payload`).
-    """
-    payload = collect_trace_payload(result)
-    return _share_payload(payload)
-
-
-def _share_payload(payload: bytes) -> Tuple[str, int]:
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=max(1, len(payload)))
-    shm.buf[: len(payload)] = payload
-    name = shm.name
-    shm.close()
-    try:
-        # Ownership transfers to the parent (which unlinks after reading);
-        # without this the worker's resource tracker would reap the segment
-        # when the worker exits.  Best effort: the tracker API is private.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return name, len(payload)
-
-
-def load_shared_payload(ref: Tuple[str, int]) -> bytes:
-    """Read and unlink a shared-memory payload written by a worker."""
-    from multiprocessing import shared_memory
-
-    name, nbytes = ref
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:nbytes])
-    finally:
-        shm.close()
-        shm.unlink()
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -412,15 +369,10 @@ def run_batch(
     ]
 
 
-#: Trace transports for :func:`run_batch_traces`, cheapest first.
-TRACE_TRANSPORTS = ("payload", "shm", "pickle")
-
-
 def run_batch_traces(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = None,
     *,
-    transport: str = "payload",
     executor: Optional[BatchExecutor] = None,
     chunksize: Optional[int] = None,
     cache: Optional[ScenarioCache] = None,
@@ -429,51 +381,31 @@ def run_batch_traces(
     """Run a sweep collecting the *full trace* of every session.
 
     Unlike ``run_batch(specs, collect_trace)`` — which pickles each record
-    graph across the process boundary — the default ``"payload"``
-    transport ships one compact columnar blob per run and rebuilds lazy
-    :class:`~repro.trace.columnar.ColumnarTrace` views in the parent.
-    ``"shm"`` moves the same blob through ``multiprocessing.shared_memory``
-    (only a name crosses the result pipe); ``"pickle"`` is the legacy
-    record-graph transport.
-
-    With a ``cache``, the stored entry *is* the columnar payload, so the
-    ``transport`` choice is moot: hits decode straight from the store,
-    misses ship payloads as usual and are stored by the parent.
+    graph across the process boundary — every worker ships one compact
+    columnar ``ATHC1`` blob per run and the parent rebuilds lazy
+    :class:`~repro.trace.columnar.ColumnarTrace` views.  With a ``cache``,
+    the stored entry *is* that payload: hits decode straight from the
+    store, misses ship payloads as usual and are stored by the parent.
     """
     from ..trace.columnar import trace_from_payload
 
-    if transport not in TRACE_TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; choose from {TRACE_TRANSPORTS}"
-        )
     if cache is not None:
         return run_batch(
             specs, collect_trace, jobs, executor=executor,
             chunksize=chunksize, cache=cache, dedup=dedup,
         )
-    if transport == "pickle":
-        return run_batch(
-            specs, collect_trace, jobs, executor=executor,
-            chunksize=chunksize, dedup=dedup,
-        )
-    collect = collect_trace_shm if transport == "shm" else collect_trace_payload
     runs = run_batch(
-        specs, collect, jobs, executor=executor, chunksize=chunksize,
-        dedup=dedup,
+        specs, collect_trace_payload, jobs, executor=executor,
+        chunksize=chunksize, dedup=dedup,
     )
     out: List[BatchRun] = []
     # Deduped batches fan one value object out to every duplicate index;
-    # decode (and for shm, read-and-unlink) each distinct value once.
+    # decode each distinct payload once.
     decoded: Dict[int, Trace] = {}
     for run in runs:
         ref = id(run.value)
         if ref not in decoded:
-            payload = (
-                load_shared_payload(run.value)
-                if transport == "shm"
-                else run.value
-            )
-            decoded[ref] = trace_from_payload(payload)
+            decoded[ref] = trace_from_payload(run.value)
         out.append(BatchRun(label=run.label, value=decoded[ref]))
     return out
 

@@ -574,25 +574,6 @@ def _stage_mitigations(ctx: SessionContext) -> None:
 # ----------------------------------------------------------------------
 # The builder
 # ----------------------------------------------------------------------
-def default_sink(config: ScenarioConfig) -> TraceSink:
-    """The sink :attr:`ScenarioConfig.trace_backend` asks for.
-
-    Only consulted when the builder is not handed an explicit sink;
-    ``"memory"`` keeps the historical record-object :class:`Trace`,
-    ``"columnar"`` retains the same records as typed column arrays (lazy
-    row views, compact cross-process payloads), ``"null"`` drops records.
-    """
-    if config.trace_backend == "columnar":
-        from ..trace.columnar import ColumnarSink
-
-        return ColumnarSink()
-    if config.trace_backend == "null":
-        from ..trace.bus import NullSink
-
-        return NullSink()
-    return InMemorySink(Trace())
-
-
 class SessionBuilder:
     """Assemble and run one cell session (one or many calls) from stages.
 
@@ -609,7 +590,7 @@ class SessionBuilder:
         pipeline: Iterable[str] = DEFAULT_PIPELINE,
     ) -> None:
         self.config = config
-        self.sink = sink if sink is not None else default_sink(config)
+        self.sink = sink if sink is not None else InMemorySink(Trace())
         self.pipeline = tuple(pipeline)
         unknown = [name for name in self.pipeline if name not in STAGES]
         if unknown:

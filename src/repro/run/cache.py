@@ -78,11 +78,6 @@ SOURCE_PACKAGES = (
     "trace", "core",
 )
 
-#: ScenarioConfig fields excluded from the fingerprint: the trace backend
-#: changes the in-memory representation, never the trace content (PR 9's
-#: byte-identity guarantee), and cached values are columnar regardless.
-_NON_SEMANTIC_FIELDS = frozenset({"trace_backend"})
-
 #: CallSpec fields whose ``None`` means *inherit from the scenario*;
 #: resolved through :meth:`CallSpec.inherit` before hashing so a bare
 #: ``CallSpec()`` and an explicitly-spelled equivalent fingerprint alike.
@@ -176,7 +171,7 @@ def canonical_scenario(config: ScenarioConfig) -> Dict[str, object]:
     """
     out: Dict[str, object] = {}
     for f in dataclasses.fields(config):
-        if f.name in _NON_SEMANTIC_FIELDS or f.name == "calls":
+        if f.name == "calls":
             continue
         out[f.name] = _canon(getattr(config, f.name))
     out["multicall"] = config.multicall

@@ -51,10 +51,6 @@ KNOWN_ESTIMATORS: Set[str] = {"gcc", "nada", "scream"}
 #: extend).  ``channel_phases`` overrides the named model when set.
 KNOWN_CHANNELS: Set[str] = {"fixed", "gauss_markov"}
 
-#: Default-sink kinds :attr:`ScenarioConfig.trace_backend` accepts (only
-#: consulted when no explicit sink is handed to the builder).
-KNOWN_TRACE_BACKENDS: Set[str] = {"memory", "columnar", "null"}
-
 
 @dataclass
 class CallSpec:
@@ -136,12 +132,6 @@ class ScenarioConfig:
     live_analysis: bool = False
     jitter_buffer_margin_ms: float = 10.0  # receiver playout margin
     jitter_buffer_beta: float = 4.0  # jitter multiplier in the playout target
-    #: Default telemetry sink when the builder is not handed one
-    #: explicitly: ``"memory"`` (record-object :class:`Trace`, the
-    #: historical default), ``"columnar"`` (typed column arrays with lazy
-    #: row views — same records, cheaper retention and transport), or
-    #: ``"null"`` (drop everything).
-    trace_backend: str = "memory"
     #: Concurrent calls hosted by the cell.  ``None`` (the default) is the
     #: historical single-call session: one implicit call on
     #: ``MONITORED_UE_ID`` built from the scenario-level fields, with
@@ -157,8 +147,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown estimator: {self.estimator}")
         if self.channel not in KNOWN_CHANNELS:
             raise ValueError(f"unknown channel model: {self.channel}")
-        if self.trace_backend not in KNOWN_TRACE_BACKENDS:
-            raise ValueError(f"unknown trace backend: {self.trace_backend}")
         if self.aware_ran and self.aware_ran_learned:
             raise ValueError("choose metadata OR learned app-aware scheduling")
         if self.calls is not None:

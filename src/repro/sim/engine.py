@@ -38,6 +38,9 @@ Callback = Callable[[], None]
 #: Heap entries below this many dead records never trigger compaction.
 _COMPACT_FLOOR = 64
 
+#: The horizon :meth:`Simulator.run` drains to: later than every event.
+_FOREVER = float("inf")
+
 
 class EventHandle:
     """Handle for a scheduled event; supports cancellation.
@@ -211,38 +214,20 @@ class Simulator:
                         queue,
                         (time_us + period_us, priority, next(seq), handle, callback),
                     )
-            self._now = max(self._now, end_us)
+            if end_us < _FOREVER:
+                self._now = max(self._now, end_us)
         finally:
             self._running = False
 
     def run(self) -> None:
-        """Run until the event queue is exhausted."""
+        """Run until the event queue is exhausted.
+
+        The same loop as :meth:`run_until` with no horizon, so ``now`` stays
+        at the last fired event's time (0 if nothing fired).
+        """
         if self._running:
             raise SimulationError("run called re-entrantly")
-        self._running = True
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        seq = self._seq
-        try:
-            while queue:
-                time_us, priority, _seq, handle, callback = pop(queue)
-                if handle.cancelled:
-                    continue
-                handle._queued = False
-                self._live -= 1
-                self._now = time_us
-                callback()
-                period_us = handle.period_us
-                if period_us and not handle.cancelled:
-                    handle._queued = True
-                    self._live += 1
-                    push(
-                        queue,
-                        (time_us + period_us, priority, next(seq), handle, callback),
-                    )
-        finally:
-            self._running = False
+        self.run_until(_FOREVER)
 
     def pending_events(self) -> int:
         """Number of live (not cancelled) queued events."""

@@ -58,34 +58,6 @@ class TestMetadata:
         assert result.trace.metadata["access"] == "5g"
 
 
-class TestTraceBackend:
-    def test_columnar_backend_selected_by_config(self):
-        from repro.run import ScenarioConfig
-        from repro.trace.columnar import ColumnarTrace
-
-        config = ScenarioConfig(duration_s=1.0, trace_backend="columnar")
-        result = run_session(config)
-        assert isinstance(result.trace, ColumnarTrace)
-        # Same session under the default backend: identical records.
-        reference = run_session(
-            ScenarioConfig(duration_s=1.0, trace_backend="memory")
-        )
-        assert list(result.trace.packets) == list(reference.trace.packets)
-
-    def test_null_backend_drops_records(self):
-        from repro.run import ScenarioConfig
-
-        result = run_session(ScenarioConfig(duration_s=1.0,
-                                            trace_backend="null"))
-        assert list(result.trace.packets) == []
-
-    def test_unknown_backend_rejected(self):
-        from repro.run import ScenarioConfig
-
-        with pytest.raises(ValueError, match="unknown trace backend"):
-            ScenarioConfig(duration_s=1.0, trace_backend="parquet")
-
-
 class TestPipeline:
     def test_default_pipeline_stages_registered(self):
         assert DEFAULT_PIPELINE == (

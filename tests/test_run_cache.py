@@ -73,12 +73,16 @@ class TestFingerprint:
         assert scenario_fingerprint(_config(access="emulated")) != base
         assert scenario_fingerprint(_config(live_analysis=True)) != base
 
-    def test_trace_backend_is_not_semantic(self):
-        # PR 9 pins columnar and in-memory backends trace-byte-identical,
-        # so both backends must share one cache entry.
-        a = scenario_fingerprint(_config(trace_backend="memory"))
-        b = scenario_fingerprint(_config(trace_backend="columnar"))
-        assert a == b
+    @pytest.mark.parametrize("config, key", [
+        (ScenarioConfig(),
+         "754e0dd85f5027b6cd01f7bb81a5c14e426437e16ffe09485b8b084694caa9c2"),
+        (ScenarioConfig(calls=[CallSpec(call_id=0), CallSpec(call_id=1)]),
+         "e408dd6447ab1073267ddb3810fded914c4988da3b135b198b85c811b72fc047"),
+    ], ids=["default", "two-call"])
+    def test_canonical_form_is_pinned(self, config, key):
+        # The unsalted canonical form must not move when config fields that
+        # never reached it are added or removed; re-pin only on purpose.
+        assert scenario_key(config) == key
 
     def test_legacy_and_single_call_modes_differ(self):
         # calls=None (legacy RNG stream names) vs an explicit one-call

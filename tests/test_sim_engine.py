@@ -137,6 +137,51 @@ def test_run_drains_queue():
     assert sim.now == 10
 
 
+def test_run_leaves_now_at_last_fired_event():
+    # run() shares run_until's loop but has no horizon to advance to.
+    sim = Simulator()
+    sim.run()
+    assert sim.now == 0  # empty queue: time does not move
+    sim.run_until(500)
+    sim.run()
+    assert sim.now == 500
+
+    sim = Simulator()
+    times = []
+
+    def tick():
+        times.append(sim.now)
+        if len(times) == 3:
+            handle.cancel()
+
+    handle = sim.every(100, tick)
+    sim.run()
+    assert times == [0, 100, 200]
+    assert sim.now == 200
+    assert sim.pending_events() == 0
+
+
+_RUNNERS = {"run": lambda sim: sim.run(), "run_until": lambda sim: sim.run_until(1_000)}
+
+
+@pytest.mark.parametrize("outer", sorted(_RUNNERS))
+@pytest.mark.parametrize("inner", sorted(_RUNNERS))
+def test_reentrant_run_raises(outer, inner):
+    sim = Simulator()
+    errors = []
+
+    def reenter():
+        with pytest.raises(SimulationError, match=f"^{inner} called re-entrantly"):
+            _RUNNERS[inner](sim)
+        errors.append(inner)
+
+    sim.at(10, reenter)
+    _RUNNERS[outer](sim)
+    assert errors == [inner]
+    sim.at(sim.now + 1, lambda: None)
+    sim.run()  # the guard was released after the outer loop
+
+
 def test_pending_events_counts_queue():
     sim = Simulator()
     sim.at(5, lambda: None)

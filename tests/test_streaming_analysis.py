@@ -13,6 +13,7 @@ load-bearing guarantees are:
 from __future__ import annotations
 
 import filecmp
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,10 @@ from repro.sim.units import ms
 from repro.trace.bus import InMemorySink, StreamingJsonlSink
 from repro.trace.io import load_trace, save_trace
 from repro.trace.schema import MediaKind, PacketRecord, Trace
+
+#: Ceiling on a streaming pass's peak traced memory, as a fraction of
+#: loading the whole trace.
+STREAMING_MAX_PEAK_RATIO = 0.8
 
 
 def _live_tap_results(config: ScenarioConfig):
@@ -150,6 +155,32 @@ class TestLiveSessionPath:
         assert result.diagnosis.packets_seen > 0
         trace = load_trace(path)
         assert trace.packets
+
+    def test_streaming_pass_peaks_below_loading_the_trace(self, tmp_path):
+        """analyze's single pass holds a watermark window, not the trace.
+
+        Peak traced memory of one streaming pass over an emission-ordered
+        file stays at or below 0.8x of ``load_trace`` on the same file (the
+        batch baseline).  The ratio grows more favourable with trace
+        length; 6 simulated seconds keep it honest at test speed.
+        """
+        path = tmp_path / "peak.jsonl"
+        run_session(
+            ScenarioConfig(duration_s=6.0, seed=7, live_analysis=True),
+            sink=StreamingJsonlSink(path),
+        )
+        tracemalloc.start()
+        try:
+            trace = load_trace(path)
+            batch_peak = tracemalloc.get_traced_memory()[1]
+            del trace
+            tracemalloc.reset_peak()
+            replay_file(str(path), [StreamingReportOperator()],
+                        lateness_us=ms(500.0))
+            stream_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream_peak <= STREAMING_MAX_PEAK_RATIO * batch_peak
 
 
 class TestWatermarkEdgeCases:
