@@ -13,8 +13,9 @@ This rule finds registration pairs that are *provably* simultaneous:
   identical period expression (and identical ``start_us``, if given) — both
   first fire at the registration instant plus the same offset, and tick in
   lock-step forever;
-* two ``sim.at(T, cb)`` calls in the same function body with an identical
-  time expression;
+* two ``sim.at(T, cb)`` / ``sim.post(T, cb)`` calls (in any mix) in the
+  same function body with an identical time expression — a post fires
+  exactly where a default-priority ``at`` would;
 * two ``sim.call_later(D, cb)`` calls in the same function body with an
   identical delay expression.
 
@@ -38,9 +39,14 @@ from ..registry import ProjectRule, register
 #: argument and of the tie-breaking priority argument (None = unsupported).
 _SCHED_METHODS: Dict[str, Tuple[int, Optional[int]]] = {
     "at": (1, 2),
+    "post": (1, None),
     "call_later": (1, None),
     "every": (1, None),
 }
+
+#: Methods whose first argument means the same thing as another's: a
+#: ``post`` and an ``at`` at one time expression fire at one instant.
+_SAME_CLOCK = {"post": "at"}
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -290,11 +296,12 @@ class EventGraphRule(ProjectRule):
                 call.args[cb_index],
                 mutations.of_callback(call.args[cb_index], owner),
             )
-            groups.setdefault((kind, when_fp), []).append(site)
-        for (kind, _fp), sites in groups.items():
+            clock = _SAME_CLOCK.get(kind, kind)
+            groups.setdefault((clock, when_fp), []).append(site)
+        for sites in groups.values():
             if len(sites) < 2:
                 continue
-            yield from self._check_group(module, kind, sites)
+            yield from self._check_group(module, sites)
 
     def _priority_fp(self, call: ast.Call, prio_index: Optional[int]) -> Optional[str]:
         for kw in call.keywords:
@@ -305,7 +312,7 @@ class EventGraphRule(ProjectRule):
         return None
 
     def _check_group(
-        self, module: ModuleInfo, kind: str, sites: List[_SchedSite]
+        self, module: ModuleInfo, sites: List[_SchedSite]
     ) -> Iterator[Finding]:
         for i, later in enumerate(sites):
             for earlier in sites[:i]:
@@ -319,7 +326,7 @@ class EventGraphRule(ProjectRule):
                     module.relpath,
                     later.call.lineno,
                     later.call.col_offset,
-                    f"same-timestamp sim.{kind}() callbacks both mutate "
+                    f"same-timestamp sim.{later.kind}() callbacks both mutate "
                     f"{names}; execution order is only insertion order",
                 )
                 break

@@ -1,8 +1,8 @@
 """ATH006 — event-handler hygiene on the simulation engine.
 
-Callbacks handed to ``Simulator.at`` / ``call_later`` / ``every`` fire later,
-with zero arguments, in event-queue order.  Three patterns break that
-contract:
+Callbacks handed to ``Simulator.at`` / ``post`` / ``call_later`` / ``every``
+fire later, with zero arguments, in event-queue order.  Three patterns break
+that contract:
 
 * passing a *call* instead of a callable (``sim.at(t, self.tick())`` runs
   ``tick`` immediately — outside the event queue — and schedules its return
@@ -26,7 +26,7 @@ from ..common import LintContext, terminal_name
 from ..findings import Finding
 from ..registry import Rule, register
 
-SCHEDULING_METHODS = frozenset({"at", "call_later", "every"})
+SCHEDULING_METHODS = frozenset({"at", "post", "call_later", "every"})
 # The receiver must look like a simulator/engine for `.at(...)` & friends to
 # count as scheduling; keeps unrelated `.at()` APIs out of scope.
 RECEIVER_MARKERS = ("sim", "engine", "scheduler")

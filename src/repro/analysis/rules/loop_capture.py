@@ -15,8 +15,8 @@ default-binding idiom, which snapshots the value at definition time::
     for packet in burst:
         sim.at(t, lambda p=packet: ran.send_uplink(1, p))
 
-This rule flags scheduling calls (``sim.at`` / ``call_later`` / ``every`` on
-a simulator-like receiver, as in ATH006) whose lambda callback reads an
+This rule flags scheduling calls (``sim.at`` / ``post`` / ``call_later`` /
+``every`` on a simulator-like receiver, as in ATH006) whose lambda callback reads an
 enclosing loop variable in its *body*.  Loop variables appearing only in the
 lambda's default expressions are the fix, not the bug, and are not flagged.
 """

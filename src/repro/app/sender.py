@@ -136,12 +136,13 @@ class VcaSender:
 
     def _send_burst(self, packets) -> None:
         """Send a frame's packets back-to-back at NIC serialization pace."""
+        now = self.sim.now
         for i, packet in enumerate(packets):
             if i == 0 or self.burst_spacing_us <= 0:
                 self.topology.send_media(packet)
             else:
-                self.sim.call_later(
-                    i * self.burst_spacing_us,
+                self.sim.post(
+                    now + i * self.burst_spacing_us,
                     lambda p=packet: self.topology.send_media(p),
                 )
 

@@ -232,6 +232,7 @@ class GccEstimator:
         self._prev_group: Optional[_ArrivalGroup] = None
         self.history = EstimatorHistory()
         self._arrival_bytes: Deque[Tuple[TimeUs, int]] = deque()
+        self._arrival_bytes_total = 0  # sum of sizes in _arrival_bytes
         self._sample_index = 0
 
     # ------------------------------------------------------------------
@@ -262,14 +263,15 @@ class GccEstimator:
     def incoming_rate_kbps(self, now_us: TimeUs, window_us: TimeUs = 500_000) -> float:
         """Measured incoming media rate over the trailing window."""
         horizon = now_us - window_us
-        while self._arrival_bytes and self._arrival_bytes[0][0] < horizon:
-            self._arrival_bytes.popleft()
-        total = sum(size for _, size in self._arrival_bytes)
-        return total * 8 / (window_us / 1e6) / 1_000
+        arrivals = self._arrival_bytes
+        while arrivals and arrivals[0][0] < horizon:
+            self._arrival_bytes_total -= arrivals.popleft()[1]
+        return self._arrival_bytes_total * 8 / (window_us / 1e6) / 1_000
 
     # ------------------------------------------------------------------
     def _track_incoming_rate(self, arrival: PacketArrival) -> None:
         self._arrival_bytes.append((arrival.arrival_us, arrival.size_bytes))
+        self._arrival_bytes_total += arrival.size_bytes
 
     def _on_group_pair(self, prev: _ArrivalGroup, cur: _ArrivalGroup) -> None:
         d_send_ms = us_to_ms(cur.last_send_us - prev.last_send_us)

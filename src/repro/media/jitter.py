@@ -108,7 +108,7 @@ class AdaptiveJitterBuffer:
         target = capture + min_transit + self.current_delay_target_us()
         render_at = max(arrival, target, self._sim.now)
         self._last_rendered_capture = capture
-        self._sim.at(render_at, lambda: self._render(frame, render_at))
+        self._sim.post(render_at, lambda: self._render(frame, render_at))
 
     # ------------------------------------------------------------------
     def _render(self, frame: FrameRecord, render_us: TimeUs) -> None:

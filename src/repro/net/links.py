@@ -66,7 +66,7 @@ class DelayLink:
             delay_us += abs(self._rng.normal(0.0, self.jitter_std_us))
         arrival = max(self._sim.now + int(delay_us), self._last_arrival)
         self._last_arrival = arrival
-        self._sim.at(arrival, lambda: on_arrival(packet, arrival))
+        self._sim.post(arrival, lambda: on_arrival(packet, arrival))
 
 
 class ProcessingNode:
@@ -101,7 +101,7 @@ class ProcessingNode:
             delay_us += self._rng.exponential(self.tail_mean_us)
         departure = max(self._sim.now + int(delay_us), self._last_departure)
         self._last_departure = departure
-        self._sim.at(departure, lambda: on_done(packet, departure))
+        self._sim.post(departure, lambda: on_done(packet, departure))
 
 
 class EmulatedLink:
@@ -170,10 +170,10 @@ class EmulatedLink:
             self._queue.popleft()
             self._queued_bytes -= packet.size_bytes
             arrival = self._sim.now + self.latency_us
-            self._sim.at(arrival, lambda: on_arrival(packet, arrival))
+            self._sim.post(arrival, lambda: on_arrival(packet, arrival))
             self._serve_next()
 
-        self._sim.call_later(max(tx_time_us, 1), finish)
+        self._sim.post(self._sim.now + max(tx_time_us, 1), finish)
 
     @property
     def queued_bytes(self) -> int:

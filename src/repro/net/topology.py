@@ -221,8 +221,9 @@ class CallTopology:
             )
         else:
             # Wired baseline: symmetric fixed latency on the return path.
-            self.sim.call_later(
-                ms(15.0), lambda: self._feedback_at_sender(packet, self.sim.now)
+            self.sim.post(
+                self.sim.now + ms(15.0),
+                lambda: self._feedback_at_sender(packet, self.sim.now),
             )
 
     def _feedback_at_sender(self, packet: PacketRecord, arrival: TimeUs) -> None:

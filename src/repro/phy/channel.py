@@ -21,7 +21,11 @@ from .mcs import mcs_entry, mcs_for_snr
 
 @dataclass
 class ChannelState:
-    """Channel snapshot used to build one transport block."""
+    """Channel snapshot used to build one transport block.
+
+    Read-only by convention: a channel may hand the same snapshot to every
+    caller (:class:`FixedChannel` does).
+    """
 
     snr_db: float
     mcs: int
@@ -37,16 +41,26 @@ class FixedChannel:
     def __init__(self, mcs: int, bler: float) -> None:
         if not 0.0 <= bler < 1.0:
             raise ValueError(f"bler out of range: {bler}")
-        self.mcs = mcs
-        self.bler = bler
+        # Built once: every sample is this same snapshot.
+        self._state = ChannelState(snr_db=float("nan"), mcs=mcs, bler=bler)
+
+    @property
+    def mcs(self) -> int:
+        """The constant MCS index (read-only: samples share one state)."""
+        return self._state.mcs
+
+    @property
+    def bler(self) -> float:
+        """The constant block error rate (read-only, like :attr:`mcs`)."""
+        return self._state.bler
 
     def sample(self, time_us: TimeUs) -> ChannelState:
         """Channel state at ``time_us`` (time-invariant here)."""
-        return ChannelState(snr_db=float("nan"), mcs=self.mcs, bler=self.bler)
+        return self._state
 
     def nominal_mcs(self, time_us: TimeUs) -> int:
         """The MCS :meth:`sample` would report, without advancing anything."""
-        return self.mcs
+        return self._state.mcs
 
 
 class PhasedChannel:

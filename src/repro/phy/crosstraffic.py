@@ -10,7 +10,7 @@ the average load is below capacity.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -41,53 +41,64 @@ class CrossTrafficSource:
         self._n_ues = n_ues
         self._rng = rng
         self._phase_offset_us = phase_offset_us
+        self._cycle_us = ms(config.burst_on_ms + config.burst_off_ms)
+        self._on_us = ms(config.burst_on_ms)
+        self._flow_id = f"cross-ue{ue_id}"
+        # Mean in-burst packet gap (us), keyed by each phase's per-UE rate.
+        self._mean_gap_us: Dict[float, float] = {}
+        for phase in config.phases:
+            per_ue_kbps = phase.rate_kbps / n_ues
+            if per_ue_kbps > 0:
+                self._mean_gap_us[per_ue_kbps] = self._gap_for(per_ue_kbps)
         self.packets_sent = 0
         self.bytes_sent = 0
 
     def start(self) -> None:
         """Begin generating traffic."""
-        self._sim.call_later(0, self._next_packet)
+        self._sim.post(self._sim.now, self._next_packet)
 
     # ------------------------------------------------------------------
-    def _burst_cycle_us(self) -> TimeUs:
-        return ms(self._config.burst_on_ms + self._config.burst_off_ms)
-
     def _in_burst(self, now: TimeUs) -> bool:
-        cycle = self._burst_cycle_us()
-        position = (now + self._phase_offset_us) % cycle
-        return position < ms(self._config.burst_on_ms)
+        position = (now + self._phase_offset_us) % self._cycle_us
+        return position < self._on_us
 
     def _next_burst_start(self, now: TimeUs) -> TimeUs:
-        cycle = self._burst_cycle_us()
+        cycle = self._cycle_us
         position = (now + self._phase_offset_us) % cycle
         return now + (cycle - position)
+
+    def _gap_for(self, per_ue_kbps: float) -> float:
+        """Mean in-burst gap (us) that averages ``per_ue_kbps`` over a cycle.
+
+        Within a burst the send rate compensates for the off period so the
+        long-run average matches the configured phase rate.
+        """
+        config = self._config
+        cycle_ms = config.burst_on_ms + config.burst_off_ms
+        burst_kbps = per_ue_kbps * cycle_ms / config.burst_on_ms
+        return config.packet_bytes * 8 / (burst_kbps * 1_000) * 1e6
 
     def _next_packet(self) -> None:
         now = self._sim.now
         per_ue_kbps = self._config.rate_at(now) / self._n_ues
         if per_ue_kbps <= 0:
             # Idle phase: poll for the next phase boundary.
-            self._sim.call_later(ms(100.0), self._next_packet)
+            self._sim.post(now + ms(100.0), self._next_packet)
             return
         if not self._in_burst(now):
-            self._sim.at(self._next_burst_start(now), self._next_packet)
+            self._sim.post(self._next_burst_start(now), self._next_packet)
             return
         packet = PacketRecord(
             packet_id=new_packet_id(),
-            flow_id=f"cross-ue{self._ue_id}",
+            flow_id=self._flow_id,
             kind=MediaKind.CROSS,
             size_bytes=self._config.packet_bytes,
         )
         self._ran.send_uplink(self._ue_id, packet)
         self.packets_sent += 1
         self.bytes_sent += packet.size_bytes
-        # Within a burst the send rate compensates for the off period so the
-        # long-run average matches the configured phase rate.
-        cycle_ms = self._config.burst_on_ms + self._config.burst_off_ms
-        burst_kbps = per_ue_kbps * cycle_ms / self._config.burst_on_ms
-        mean_gap_us = self._config.packet_bytes * 8 / (burst_kbps * 1_000) * 1e6
-        gap = max(1, int(self._rng.exponential(mean_gap_us)))
-        self._sim.call_later(gap, self._next_packet)
+        gap = max(1, int(self._rng.exponential(self._mean_gap_us[per_ue_kbps])))
+        self._sim.post(now + gap, self._next_packet)
 
 
 def attach_cross_traffic(

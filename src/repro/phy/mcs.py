@@ -10,6 +10,7 @@ block size is computed as ``PRBs x subcarriers x data symbols x efficiency``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 
@@ -71,8 +72,14 @@ def mcs_entry(index: int) -> McsEntry:
     return _MCS_TABLE[index]
 
 
+@lru_cache(maxsize=256)
 def bits_per_prb(mcs: int, subcarriers: int = 12, symbols: int = 13) -> int:
-    """Information bits one PRB carries in one slot at the given MCS."""
+    """Information bits one PRB carries in one slot at the given MCS.
+
+    Memoized: the scheduler asks for the same few (MCS, PRB geometry)
+    triples every busy slot.  An invalid index raises before anything is
+    cached.
+    """
     entry = mcs_entry(mcs)
     return int(subcarriers * symbols * entry.efficiency)
 

@@ -99,6 +99,9 @@ class RanSimulator:
         self.scheduler = GnbScheduler(self.config, self.tdd, sink=sink)
         self.scheduler.record_grants = record_grants
         self._ues: Dict[int, UePhy] = {}
+        # The same UEs in attach order, rebuilt by add_ue: the slot loop
+        # hands this list to the scheduler instead of re-listing the dict.
+        self._ue_list: List[UePhy] = []
         # Legacy accessor: populated only when no sink carries the records.
         self.tb_log: List[TransportBlockRecord] = []
         self._record_tb_window = record_tb_window
@@ -155,6 +158,7 @@ class RanSimulator:
             trace_sink=self.sink,
         )
         self._ues[ue_id] = ue
+        self._ue_list = list(self._ues.values())
         if not hasattr(ue.channel, "nominal_mcs"):
             self._nominal_mcs_ok = False  # unknown channel: never elide
         elif getattr(ue.channel, "nominal_mcs_varies", True):
@@ -177,7 +181,7 @@ class RanSimulator:
 
         def deliver(packet: PacketRecord, decode_us: TimeUs) -> None:
             arrival = decode_us + backhaul
-            self.sim.at(arrival, lambda: sink(packet, arrival))
+            self.sim.post(arrival, lambda: sink(packet, arrival))
 
         self._ues[ue_id].sink = deliver
 
@@ -202,7 +206,7 @@ class RanSimulator:
             )
             if needs_sr and self.scheduler.pending_grants_for(ue_id) == 0:
                 sr_slot = self.tdd.next_ul_slot_start(self.sim.now)
-                self.sim.at(
+                self.sim.post(
                     sr_slot,
                     lambda: self.scheduler.on_sr(ue_id, sr_slot, self.sim.now),
                 )
@@ -210,7 +214,7 @@ class RanSimulator:
             self._demand_wake(self.sim.now + 1)
 
         if self.config.ue_to_gnb_proc_us > 0:
-            self.sim.call_later(self.config.ue_to_gnb_proc_us, enqueue)
+            self.sim.post(self.sim.now + self.config.ue_to_gnb_proc_us, enqueue)
         else:
             enqueue()
 
@@ -227,7 +231,7 @@ class RanSimulator:
             raise KeyError(f"UE {ue_id} not attached")
         arrival = self.sim.now + self.config.gnb_to_core_us
         deliver_at = self.tdd.next_dl_slot_start(arrival) + self.config.slot_us
-        self.sim.at(deliver_at, lambda: sink(packet, deliver_at))
+        self.sim.post(deliver_at, lambda: sink(packet, deliver_at))
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -287,7 +291,7 @@ class RanSimulator:
         slot_us = sim_now
         self._slot_handle = None
         scheduler = self.scheduler
-        ues = self._ues.values()
+        ues = self._ue_list
         busy = not self._nominal_mcs_ok or scheduler.is_busy_slot(slot_us, ues)
         if self._idle_cursor < slot_us:
             self._account_idle_range(slot_us)  # lazily account elided slots
@@ -366,7 +370,7 @@ class RanSimulator:
             for slot_us in self.tdd.ul_slots_between(first, limit_us):
                 self._account_idle_slot(slot_us)
             return
-        granted = self.scheduler.idle_slot_granted_bits(first, self._ues.values())
+        granted = self.scheduler.idle_slot_granted_bits(first, self._ue_list)
         if granted == 0:
             return
         window_us = self.config.capacity_window_us
@@ -383,27 +387,26 @@ class RanSimulator:
 
     def _account_idle_slot(self, slot_us: TimeUs) -> None:
         """Account one idle slot's zero-fill proactive grants (no TBs)."""
-        granted = self.scheduler.idle_slot_granted_bits(
-            slot_us, self._ues.values()
-        )
+        granted = self.scheduler.idle_slot_granted_bits(slot_us, self._ue_list)
         if granted:
             key = slot_us // self.config.capacity_window_us
             self._window(key).granted_bits += granted
 
     def _process_slot(self, slot_us: TimeUs) -> None:
-        allocations = self.scheduler.schedule_slot(slot_us, self._ues.values())
+        scheduler = self.scheduler
+        allocations = scheduler.schedule_slot(slot_us, self._ue_list)
         allocated_ids = {alloc.ue.ue_id for alloc in allocations}
         # Scheduling-request safety net: a UE with buffered data, no TB this
         # slot, and no grant in flight raises an SR on the control channel
         # (otherwise a starved UE could deadlock when proactive grants are
         # crowded out under load).
-        for ue in self._ues.values():
+        for ue in self._ue_list:
             if (
                 ue.ue_id not in allocated_ids
                 and not ue.buffer.empty
-                and self.scheduler.pending_grants_for(ue.ue_id) == 0
+                and scheduler.pending_grants_for(ue.ue_id) == 0
             ):
-                self.scheduler.on_sr(ue.ue_id, slot_us, self.sim.now)
+                scheduler.on_sr(ue.ue_id, slot_us, self.sim.now)
         for alloc in allocations:
             state = alloc.ue.channel_state(slot_us)
             result = alloc.ue.build_tb(
@@ -414,10 +417,10 @@ class RanSimulator:
                 state=state,
             )
             for failed_slot in result.tb.failed_slot_us:
-                self.scheduler.reserve_retx(failed_slot, result.prbs_used)
+                scheduler.reserve_retx(failed_slot, result.prbs_used)
             if result.bsr_delivered_us is not None and result.bsr_bytes:
                 sent_slot = slot_us
-                self.sim.at(
+                self.sim.post(
                     result.bsr_delivered_us,
                     lambda ue_id=alloc.ue.ue_id, b=result.bsr_bytes, s=sent_slot, d=result.bsr_delivered_us: self.scheduler.on_bsr(
                         ue_id, s, b, d, self.sim.now

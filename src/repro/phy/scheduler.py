@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from ..sim.units import TimeUs
 from ..trace.bus import TraceSink
@@ -72,6 +72,9 @@ class GnbScheduler:
         # Per-UE grant queues, served round-robin so one backlogged UE
         # cannot starve the others.
         self._pending: Dict[int, Deque[PendingGrant]] = {}
+        # Unserved bits per UE: the sum of remaining_bits over its queue,
+        # kept as a running total (the SR check reads it every busy slot).
+        self._owed_bits: Dict[int, int] = {}
         self._reserved_prbs: Dict[TimeUs, int] = {}
         self._rr_offset = 0  # round-robin start for fairness
         self.advisor: Optional[GrantAdvisor] = None
@@ -135,7 +138,9 @@ class GnbScheduler:
         self._enqueue_grant(grant)
 
     def _enqueue_grant(self, grant: PendingGrant) -> None:
-        self._pending.setdefault(grant.ue_id, deque()).append(grant)
+        ue_id = grant.ue_id
+        self._pending.setdefault(ue_id, deque()).append(grant)
+        self._owed_bits[ue_id] = self._owed_bits.get(ue_id, 0) + grant.remaining_bits
         self._log_grant(grant)
         if self.wake_hook is not None:
             self.wake_hook(grant.usable_slot_us)
@@ -150,8 +155,12 @@ class GnbScheduler:
             self.wake_hook(retx_slot)
 
     def pending_grants_for(self, ue_id: int) -> int:
-        """Bits of unserved requested grants owed to a UE (tests/SR logic)."""
-        return sum(g.remaining_bits for g in self._pending.get(ue_id, ()))
+        """Bits of unserved requested grants owed to a UE.
+
+        Sizes BSR grants and gates scheduling requests; O(1), read from the
+        running total.
+        """
+        return self._owed_bits.get(ue_id, 0)
 
     # ------------------------------------------------------------------
     # Idle-slot elision queries
@@ -253,15 +262,17 @@ class GnbScheduler:
     # Per-slot allocation
     # ------------------------------------------------------------------
     def schedule_slot(
-        self, slot_us: TimeUs, ues: Iterable[UePhy]
+        self, slot_us: TimeUs, ue_list: Sequence[UePhy]
     ) -> List[SlotAllocation]:
-        """Allocate this uplink slot's PRBs; returns at most one TB per UE."""
+        """Allocate this uplink slot's PRBs; returns at most one TB per UE.
+
+        ``ue_list`` is the cell's attached UEs in attach order; a UE left
+        out of it counts as detached and its grants are dropped.
+        """
         cfg = self._config
         available = cfg.n_ul_prbs - self._reserved_prbs.pop(slot_us, 0)
         available = max(0, available)
         allocations: Dict[int, SlotAllocation] = {}
-        ue_list = list(ues)
-        ue_by_id = {ue.ue_id: ue for ue in ue_list}
 
         if self.advisor is not None:
             for grant in self.advisor.grants_for_slot(slot_us):
@@ -271,9 +282,11 @@ class GnbScheduler:
         #    backlogged UE cannot starve the cell); under "fifo" the oldest
         #    outstanding grant goes first, cell-wide.  Each UE's own grants
         #    are always FIFO, split across slots when capacity-bound.
+        ue_by_id = {ue.ue_id: ue for ue in ue_list} if self._pending else {}
         for ue_id in list(self._pending):
             if ue_id not in ue_by_id:
                 del self._pending[ue_id]  # UE detached; drop its grants
+                del self._owed_bits[ue_id]
         if cfg.scheduler_policy == "fifo":
             rr_ids = sorted(
                 self._pending,
@@ -315,6 +328,7 @@ class GnbScheduler:
                     break
                 bits = min(prbs * per_prb, grant.remaining_bits)
                 grant.serve(bits)
+                self._owed_bits[ue_id] -= bits
                 tb_bits += bits
                 tb_prbs += prbs
                 available -= prbs
@@ -332,7 +346,8 @@ class GnbScheduler:
                     grant=served_grant,
                 )
             if not queue:
-                self._pending.pop(ue_id, None)
+                del self._pending[ue_id]
+                del self._owed_bits[ue_id]
 
         # 2. Proactive grants for remaining capacity, round-robin.
         if cfg.proactive_grants and ue_list:

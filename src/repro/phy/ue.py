@@ -260,5 +260,5 @@ class UePhy:
         self.bytes_delivered += packet.size_bytes
         sink = self.sink
         if sink is not None:
-            self._sim.at(delivered, lambda p=packet, t=delivered: sink(p, t))
+            self._sim.post(delivered, lambda p=packet, t=delivered: sink(p, t))
         self._progress.pop(packet.packet_id, None)

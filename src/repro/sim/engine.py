@@ -5,7 +5,15 @@ callback)`` entries.  Ties in time are broken first by ``priority`` (lower
 fires first; almost everything uses the default 0) and then by insertion
 order, which makes runs fully deterministic for a given seed.  Components
 schedule callbacks either at an absolute time (:meth:`Simulator.at`) or
-after a delay (:meth:`Simulator.call_later`).
+after a delay (:meth:`Simulator.call_later`); both return a cancellable
+:class:`EventHandle`.
+
+Most events are fire-and-forget: a packet arrival, a deferred enqueue, a
+frame render.  Nobody keeps their handle, so :meth:`Simulator.post`
+schedules them without allocating one.  A posted event cannot be
+cancelled; it draws its ``(time, 0, sequence)`` key from the same counter
+as :meth:`Simulator.at`, so switching a call site between the two moves no
+event.
 
 Priorities exist for one reason: a component that *elides* events (the RAN
 slot loop skipping idle slots) must be able to re-insert an event later and
@@ -84,6 +92,11 @@ class _RecurringEvent(EventHandle):
         self.period_us = period_us
 
 
+#: The handle slot of every posted event.  It is never handed out, so it is
+#: never cancelled; its ``period_us`` of 0 makes the run loop fire it once.
+_POSTED = EventHandle()
+
+
 class SimulationError(RuntimeError):
     """Raised for invalid engine usage (e.g. scheduling in the past)."""
 
@@ -124,6 +137,22 @@ class Simulator:
         handle = EventHandle()
         self._push(time_us, priority, handle, callback)
         return handle
+
+    def post(self, time_us: TimeUs, callback: Callback) -> None:
+        """Schedule a one-shot ``callback`` at ``time_us``; no handle, no cancel.
+
+        Fires exactly where ``at(time_us, callback)`` would: same priority
+        (0), same insertion counter.  Use it whenever the handle would be
+        thrown away.
+        """
+        if time_us < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time_us} us; current time is {self._now} us"
+            )
+        self._live += 1
+        heapq.heappush(
+            self._queue, (time_us, 0, next(self._seq), _POSTED, callback)
+        )
 
     def call_later(self, delay_us: TimeUs, callback: Callback) -> EventHandle:
         """Schedule ``callback`` after ``delay_us`` microseconds."""

@@ -13,3 +13,4 @@ def start(sim, sender, frames):
         FRAMES_SENT += 1
 
     sim.every(2_500, on_slot)  # line 15: handler mutates state via `global`
+    sim.post(3_000, sender.flush())  # line 16: invoked immediately

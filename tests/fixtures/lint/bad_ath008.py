@@ -10,3 +10,5 @@ def schedule(sim, ran, packets, times):
         sim.call_later(10, lambda p=packet: ran.send_uplink(1, p))  # fine
     for t_us in times:
         sim.at(t_us, lambda now=t_us: ran.poll(now))  # fine: default-bound
+    for t_us in times:
+        sim.post(t_us, lambda: ran.poll(t_us))  # line 14: late bind

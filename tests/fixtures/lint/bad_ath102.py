@@ -19,3 +19,7 @@ class Collector:
     def arm_periodic(self):
         self.sim.every(1_000, self._on_probe)
         self.sim.every(1_000, self._on_drain)  # line 21: same period and phase
+
+    def arm_posted(self):
+        self.sim.at(7_000, self._on_probe)
+        self.sim.post(7_000, self._on_drain)  # line 25: a post fires where `at` does

@@ -19,7 +19,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 PROJECT_EXPECTED = {
     "bad_ath100.py": ("ATH100", (10, 15, 21)),
     "bad_ath101.py": ("ATH101", (9, 10, 11)),
-    "bad_ath102.py": ("ATH102", (17, 21)),
+    "bad_ath102.py": ("ATH102", (17, 21, 25)),
 }
 
 

@@ -18,9 +18,9 @@ EXPECTED = {
     "bad_ath003.py": ("ATH003", (4, 5, 7, 8, 13, 16)),
     "bad_ath004.py": ("ATH004", (7, 9)),
     "bad_ath005.py": ("ATH005", (6, 11, 11)),
-    "bad_ath006.py": ("ATH006", (7, 9, 15)),
+    "bad_ath006.py": ("ATH006", (7, 9, 15, 16)),
     "bad_ath007.py": ("ATH007", (5, 6, 14)),
-    "bad_ath008.py": ("ATH008", (6, 8)),
+    "bad_ath008.py": ("ATH008", (6, 8, 14)),
     "bad_ath009.py": ("ATH009", (5, 9, 14)),
     "bad_ath010.py": ("ATH010", (10, 14, 19)),
     "bad_ath011.py": ("ATH011", (10, 18, 26, 34)),

@@ -24,6 +24,8 @@ from repro.trace import MediaKind, PacketRecord
 from repro.trace.ids import IdSpace, new_packet_id, use_id_space
 from repro.trace.io import save_trace
 
+from .test_multicall import GOLDEN_CONTENDED, contended_config
+
 
 def _packet(size=1_100):
     return PacketRecord(
@@ -183,6 +185,13 @@ class TestCapacitySeries:
         assert all(w.granted_bits > 0 for w in windows)
 
 
+def _config_bytes(tmp_path, config, name):
+    result = SessionBuilder(config).run()
+    path = tmp_path / f"{name}.jsonl"
+    save_trace(result.trace, path)
+    return path.read_bytes()
+
+
 def _trace_bytes(tmp_path, seed, access, elide):
     config = ScenarioConfig(
         seed=seed,
@@ -190,10 +199,7 @@ def _trace_bytes(tmp_path, seed, access, elide):
         duration_s=1.0,
         ran=RanConfig(elide_idle_slots=elide),
     )
-    result = SessionBuilder(config).run()
-    path = tmp_path / f"{access}-{seed}-{int(elide)}.jsonl"
-    save_trace(result.trace, path)
-    return path.read_bytes()
+    return _config_bytes(tmp_path, config, f"{access}-{seed}-{int(elide)}")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -202,4 +208,16 @@ def test_trace_identity_optimized_vs_reference(tmp_path, seed, access):
     """Tentpole acceptance: byte-identical JSONL for elide on vs off."""
     optimized = _trace_bytes(tmp_path, seed, access, elide=True)
     reference = _trace_bytes(tmp_path, seed, access, elide=False)
+    assert optimized == reference
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CONTENDED))
+def test_trace_identity_contended_cell(tmp_path, seed):
+    """A saturated cell with cross traffic: elide on vs off stay identical."""
+    optimized = _config_bytes(
+        tmp_path, contended_config(seed, elide_idle_slots=True), f"c{seed}-1"
+    )
+    reference = _config_bytes(
+        tmp_path, contended_config(seed, elide_idle_slots=False), f"c{seed}-0"
+    )
     assert optimized == reference

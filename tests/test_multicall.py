@@ -23,7 +23,7 @@ from repro.mitigation.aware_ran import (
     MediaSchedule,
     MultiCallAdvisor,
 )
-from repro.phy.params import RanConfig
+from repro.phy.params import CrossTrafficConfig, CrossTrafficPhase, RanConfig
 from repro.phy.tdd import TddFrame
 from repro.run.batch import RunSpec, collect_call_summaries, run_batch
 from repro.run.builder import run_session
@@ -50,6 +50,30 @@ GOLDEN_SINGLE_CALL = {
 }
 
 
+#: The same hash for the contended cell: four calls and four cross-traffic
+#: UEs (6 Mbps in total) on a 12-PRB uplink, 1 s, with grant records on.
+#: No other golden saturates the scheduler or runs cross traffic, so these
+#: pin the busy-slot path (split grants, SR safety net, owed-bit sizing).
+GOLDEN_CONTENDED = {
+    7: "df69ee8e98e7dacf4f81aa53c5ee9664fa00dd5fa823afaa4782bcea07e73ec4",
+    11: "6319d93bab8531d60f07eb404ec569da1428f1431f914dd5e39d91c25c534496",
+}
+
+
+def contended_config(seed: int, **ran_overrides) -> ScenarioConfig:
+    """The contended cell pinned by :data:`GOLDEN_CONTENDED`."""
+    return ScenarioConfig(
+        duration_s=1.0,
+        seed=seed,
+        ran=RanConfig(n_ul_prbs=12, **ran_overrides),
+        cross_traffic=CrossTrafficConfig(
+            n_ues=4, phases=[CrossTrafficPhase(0, 6_000.0)]
+        ),
+        calls=[CallSpec(call_id=k) for k in range(4)],
+        record_grants=True,
+    )
+
+
 def trace_hash(trace: Trace) -> str:
     digest = hashlib.sha256()
     for channel in ("packet", "tb", "grant", "frame", "probe", "sync"):
@@ -68,6 +92,12 @@ def test_single_call_facade_byte_identical(access, seed):
         ScenarioConfig(duration_s=2.0, seed=seed, access=access)
     )
     assert trace_hash(result.trace) == GOLDEN_SINGLE_CALL[(access, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CONTENDED))
+def test_contended_cell_byte_identical(seed):
+    result = run_session(contended_config(seed))
+    assert trace_hash(result.trace) == GOLDEN_CONTENDED[seed]
 
 
 def test_single_call_result_has_one_call_view():

@@ -1,5 +1,8 @@
 """Unit tests of the gNB scheduler's grant machinery."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.phy import FixedChannel, PendingGrant, RanConfig, RanSimulator
 from repro.phy.scheduler import GnbScheduler
 from repro.phy.tdd import TddFrame
@@ -193,3 +196,97 @@ class TestGrantObject:
         with pytest.raises(ValueError):
             PendingGrant(ue_id=1, kind=TbKind.REQUESTED, size_bits=0,
                          usable_slot_us=0, issued_us=0)
+
+
+class TestOwedBits:
+    """``pending_grants_for`` is a running total; it must equal the queue sum."""
+
+    _UE_IDS = (1, 2, 3)
+
+    _ops = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("bsr"),
+                st.sampled_from(_UE_IDS),
+                st.integers(0, 60_000),  # buffer bytes
+            ),
+            st.tuples(st.just("sr"), st.sampled_from(_UE_IDS), st.just(0)),
+            st.tuples(
+                st.just("advise"),
+                st.sampled_from(_UE_IDS + (9,)),  # 9 is never attached
+                st.integers(1, 40_000),  # grant bits
+            ),
+            st.tuples(
+                st.just("slot"),
+                st.just(0),
+                st.integers(0, 7),  # bit k set: UE k+1 left out (detached)
+            ),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops, n_prbs=st.integers(1, 12), proactive=st.booleans())
+    def test_running_total_matches_queue_sum(self, ops, n_prbs, proactive):
+        sim = Simulator()
+        config = RanConfig(
+            base_bler=0.0, n_ul_prbs=n_prbs, proactive_grants=proactive
+        )
+        ran = RanSimulator(sim, config, RngStreams(0))
+        ues = [_ue(ran, ue_id, proactive=proactive) for ue_id in self._UE_IDS]
+        sched = GnbScheduler(config, ran.tdd)
+        advised = []
+
+        class Advisor:
+            def grants_for_slot(self, slot_us):
+                grants = list(advised)
+                advised.clear()
+                return grants
+
+            def suppress_proactive(self, ue_id, slot_us):
+                return False
+
+        sched.advisor = Advisor()
+        now = 0
+        slot = ran.tdd.next_ul_slot_start(0)
+        for kind, ue_id, value in ops:
+            if kind == "bsr":
+                sched.on_bsr(ue_id, slot, value, now, now)
+            elif kind == "sr":
+                sched.on_sr(ue_id, slot, now)
+            elif kind == "advise":
+                advised.append(
+                    PendingGrant(
+                        ue_id=ue_id,
+                        kind=TbKind.REQUESTED,
+                        size_bits=value,
+                        usable_slot_us=slot,
+                        issued_us=now,
+                    )
+                )
+            else:
+                attached = [
+                    ue for k, ue in enumerate(ues) if not value >> k & 1
+                ]
+                sched.schedule_slot(slot, attached)
+                now = slot
+                slot = ran.tdd.next_ul_slot_start(slot + 1)
+            for owed_id in self._UE_IDS + (9,):
+                queue = sched._pending.get(owed_id, ())
+                assert sched.pending_grants_for(owed_id) == sum(
+                    g.remaining_bits for g in queue
+                )
+            assert set(sched._owed_bits) == set(sched._pending)
+
+    def test_split_grant_is_owed_until_served(self):
+        sim = Simulator()
+        config = RanConfig(base_bler=0.0, n_ul_prbs=2, proactive_grants=False)
+        ran = RanSimulator(sim, config, RngStreams(0))
+        ue = _ue(ran, proactive=False)
+        sched = GnbScheduler(config, ran.tdd)
+        sched.on_bsr(1, 0, 20_000, 500, 500)
+        owed = sched.pending_grants_for(1)
+        slot = sched._pending[1][0].usable_slot_us
+        (alloc,) = sched.schedule_slot(slot, [ue])
+        assert 0 < alloc.bits < owed  # capacity-bound: the grant is split
+        assert sched.pending_grants_for(1) == owed - alloc.bits

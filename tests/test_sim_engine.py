@@ -284,3 +284,72 @@ def test_run_until_is_resumable_with_recurring_events():
     sim.run_until(500)
     sim.run_until(1_000)
     assert times == [0, 250, 500, 750, 1_000]
+
+
+# ----------------------------------------------------------------------
+# post: one-shot events without a handle
+# ----------------------------------------------------------------------
+def test_post_and_at_share_insertion_order():
+    sim = Simulator()
+    order = []
+    sim.post(500, lambda: order.append("p1"))
+    sim.at(500, lambda: order.append("a1"))
+    sim.post(500, lambda: order.append("p2"))
+    sim.at(500, lambda: order.append("a2"))
+    sim.at(500, lambda: order.append("slot"), priority=-1)
+    sim.run_until(500)
+    assert order == ["slot", "p1", "a1", "p2", "a2"]
+
+
+def test_post_returns_no_handle():
+    sim = Simulator()
+    assert sim.post(5, lambda: None) is None
+
+
+def test_post_in_the_past_raises():
+    sim = Simulator()
+    sim.at(100, lambda: None)
+    sim.run_until(100)
+    with pytest.raises(SimulationError):
+        sim.post(99, lambda: None)
+    sim.post(100, lambda: None)  # "now" is not the past
+    assert sim.pending_events() == 1
+
+
+def test_pending_events_counts_posts_and_run_until_drains_them():
+    sim = Simulator()
+    fired = []
+    for t_us in (10, 20, 30):
+        sim.post(t_us, lambda t=t_us: fired.append(t))
+    sim.at(40, lambda: fired.append(40))
+    assert sim.pending_events() == 4
+    sim.run_until(25)
+    assert fired == [10, 20]
+    assert sim.pending_events() == 2
+    sim.run_until(40)
+    assert fired == [10, 20, 30, 40]
+    assert sim.pending_events() == 0
+
+
+def test_posts_scheduled_during_run_fire():
+    sim = Simulator()
+    fired = []
+    sim.post(10, lambda: sim.post(sim.now + 5, lambda: fired.append(sim.now)))
+    sim.run()
+    assert fired == [15]
+    assert sim.now == 15
+
+
+def test_compaction_drops_only_cancelled_at_entries():
+    sim = Simulator()
+    fired = []
+    for i in range(100):
+        sim.post(2_000 + i, lambda i=i: fired.append(("post", i)))
+    handles = [sim.at(1_000 + i, lambda: fired.append("at")) for i in range(200)]
+    for handle in handles[:180]:
+        handle.cancel()
+    # 180 dead of 300 entries: compaction ran and kept every post.
+    assert len(sim._queue) < 300
+    assert sim.pending_events() == 120
+    sim.run()
+    assert fired == ["at"] * 20 + [("post", i) for i in range(100)]
