@@ -26,7 +26,7 @@ DEFAULT_RULE_OPTIONS: Dict[str, Dict[str, object]] = {
     "ATH001": {"exempt": ["benchmarks"]},
     "ATH002": {"exempt": ["sim/random.py"]},
     "ATH006": {"exempt": ["sim/engine.py"]},
-    # The trace package owns the record lists (sinks, JSONL loader), and
+    # The trace package owns the record lists (sink, JSONL loader), and
     # the streaming analytics package is a sanctioned consumer: its
     # AnalysisTap/replay layer rebuilds result lists from sink deliveries.
     "ATH007": {"exempt": ["repro/trace/*.py", "repro/core/streaming/*.py"]},

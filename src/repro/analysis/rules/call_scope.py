@@ -8,8 +8,7 @@ a dict index over a record collection keyed by the bare id —
 from different calls onto the same key when the collection is a merged
 cell view.  The fix is to scope the key (``(call_id, packet_id)``,
 ``(ue_id, tb_id)``) or to index a per-call view
-(:meth:`~repro.trace.schema.Trace.for_call`, a call-scoped
-:class:`~repro.trace.bus.FilteredSink`, or a
+(:meth:`~repro.trace.schema.Trace.for_call` or a
 :class:`~repro.core.streaming.scoped.CallScopedOperator`).
 
 The rule flags dict comprehensions and ``dict(...)`` generator calls whose
@@ -73,7 +72,7 @@ class CallScopeRule(Rule):
     summary = "record indexes keyed by bare ids collide across calls"
     hint = (
         "scope the key by call — (call_id, <id>) / (ue_id, <id>) — or index "
-        "a per-call view (Trace.for_call, call-scoped FilteredSink)"
+        "a per-call view (Trace.for_call, CallScopedOperator)"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:

@@ -3,8 +3,9 @@
 Simulator components must emit records via the :class:`repro.trace.bus.TraceSink`
 layer (``sink.emit(channel, record)``).  Direct ``trace.<records>.append(...)``
 couples the emitter to in-memory retention: the record silently bypasses
-streaming/filtering sinks, and memory grows with run duration again.  Only
-the trace package itself (the sinks and the JSONL loader) may touch the
+the :class:`~repro.core.streaming.tap.AnalysisTap`, so live analysis and
+the mitigations it feeds never see it.  Only the trace package itself (the
+sink and the JSONL loader) may touch the
 :class:`~repro.trace.schema.Trace` record lists.
 """
 

@@ -10,15 +10,12 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..run.builder import SessionBuilder
 from ..run.scenario import (
     MONITORED_UE_ID,
     ScenarioConfig,
     SessionResult,
 )
-from ..trace.bus import TraceSink
 
 __all__ = [
     "MONITORED_UE_ID",
@@ -28,12 +25,9 @@ __all__ = [
 ]
 
 
-def run_session(
-    config: ScenarioConfig, sink: Optional[TraceSink] = None
-) -> SessionResult:
+def run_session(config: ScenarioConfig) -> SessionResult:
     """Build, run, and return one complete call session.
 
-    Thin facade over :class:`~repro.run.builder.SessionBuilder`; pass
-    ``sink`` to redirect telemetry (e.g. a streaming sink for long runs).
+    Thin facade over :class:`~repro.run.builder.SessionBuilder`.
     """
-    return SessionBuilder(config, sink=sink).run()
+    return SessionBuilder(config).run()

@@ -86,8 +86,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(athena_report(athena))
         return 0
-    # Default: single streaming pass in O(watermark window) memory —
-    # arbitrarily large trace files never get loaded whole.
+    # Default: a single streaming pass; the file is never loaded whole.
+    # Memory stays O(watermark window) on time-interleaved files; files
+    # from save_trace are grouped by family, which is still correct but
+    # holds state until the last family arrives.
     from .core import (
         StreamingReportOperator,
         render_streaming_report,

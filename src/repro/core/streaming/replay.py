@@ -9,11 +9,12 @@ historical batch computation bit for bit.
 :func:`replay_file` does the same from a JSONL file via
 :func:`repro.trace.io.iter_trace_records`, one parsed record resident at a
 time — this is what ``athena-repro analyze`` runs, with a *finite*
-lateness so operator state stays O(watermark window) on files written by
-:class:`~repro.trace.bus.StreamingJsonlSink` (whose line order tracks
-finalization order).  Files written by :func:`~repro.trace.io.save_trace`
-are family-grouped, so per-channel watermarks cannot advance until the
-last family; correctness is unaffected, only the memory bound.
+lateness.  Operator state stays O(watermark window) on time-interleaved
+files, whose lines follow event time across channels as a capture tool
+writes them.  Files written by :func:`~repro.trace.io.save_trace` are
+grouped by family: the result is still correct, but per-channel
+watermarks cannot advance until the last family arrives, so state is held
+until then.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """AnalysisTap: the bus-side entry into the streaming operators.
 
 The tap is a :class:`~repro.trace.bus.TraceSink` that wraps the session's
-real sink (``StreamingJsonlSink``, ``InMemorySink``, ...), forwards every
+real sink (an :class:`~repro.trace.bus.InMemorySink`), forwards every
 call unchanged, and additionally delivers each record to the registered
 :class:`~repro.core.streaming.base.StreamOperator`\\ s **at finalization
 time** — the moment the record stops mutating, which is the earliest point
@@ -126,8 +126,8 @@ class AnalysisTap(TraceSink):
         if not self.closed:
             self.closed = True
             # Records never finalized (frames unrendered when the run ends,
-            # packets still in flight) are delivered now, mirroring how the
-            # serializing sinks flush them at close.
+            # packets still in flight) are delivered now, in the order
+            # they were emitted.
             pending = list(self._open.values())
             self._open.clear()
             for channel, record in pending:

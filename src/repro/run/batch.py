@@ -140,9 +140,9 @@ def collect_trace_payload(result: SessionResult) -> bytes:
     :class:`~repro.trace.columnar.ColumnarTrace` with
     :func:`~repro.trace.columnar.trace_from_payload`.
     """
-    from ..trace.columnar import columnar_trace_from_trace
+    from ..trace.columnar import encode_payload
 
-    return columnar_trace_from_trace(result.trace).to_payload()
+    return encode_payload(result.trace)
 
 
 # ----------------------------------------------------------------------
@@ -166,11 +166,10 @@ def _run_one(task: Tuple[RunSpec, Collector]) -> Any:
 def _run_cache_entry(config: ScenarioConfig) -> Tuple[bytes, bytes]:
     """Worker for cache-backed batches: simulate, return the cache value.
 
-    The worker ships ``(ATHC1 payload, pickled summary)`` — the columnar
-    transport PR 9 made cheap — and the *parent* stores the entry and
-    applies the collector to the rehydrated result, so cache hits and
-    misses flow through the identical rehydration path (and the collector
-    need not be picklable).
+    The worker ships ``(ATHC2 payload, pickled summary)`` and the
+    *parent* stores the entry and applies the collector to the rehydrated
+    result, so cache hits and misses flow through the identical
+    rehydration path (and the collector need not be picklable).
     """
     return cache_entry_from_result(run_session(config))
 
@@ -382,7 +381,7 @@ def run_batch_traces(
 
     Unlike ``run_batch(specs, collect_trace)`` — which pickles each record
     graph across the process boundary — every worker ships one compact
-    columnar ``ATHC1`` blob per run and the parent rebuilds lazy
+    columnar ``ATHC2`` blob per run and the parent rebuilds lazy
     :class:`~repro.trace.columnar.ColumnarTrace` views.  With a ``cache``,
     the stored entry *is* that payload: hits decode straight from the
     store, misses ship payloads as usual and are stored by the parent.

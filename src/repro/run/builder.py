@@ -577,10 +577,11 @@ def _stage_mitigations(ctx: SessionContext) -> None:
 class SessionBuilder:
     """Assemble and run one cell session (one or many calls) from stages.
 
-    ``SessionBuilder(config).run()`` is exactly the old ``run_session``.
-    Pass ``sink`` to redirect telemetry (e.g. a
-    :class:`~repro.trace.bus.StreamingJsonlSink` for bounded memory) and
-    ``pipeline`` to reorder, drop, or extend stages.
+    ``SessionBuilder(config).run()`` is exactly ``run_session``.  Pass
+    ``sink`` to see the telemetry on its way in (e.g. an
+    :class:`~repro.core.streaming.tap.AnalysisTap` wrapping an
+    :class:`~repro.trace.bus.InMemorySink`) and ``pipeline`` to reorder,
+    drop, or extend stages.
     """
 
     def __init__(
@@ -671,10 +672,9 @@ class SessionBuilder:
         # ctx.sink is the AnalysisTap when live analysis ran; closing it
         # drains the operators and then closes the wrapped sink.
         ctx.sink.close()
-        trace = ctx.sink.result_trace()
-        # Retention-free sinks (streaming, null) keep no Trace; hand back
-        # an empty one so result.trace stays usable.
-        session_trace = trace if trace is not None else Trace()
+        session_trace = ctx.sink.result_trace()
+        if session_trace is None:
+            raise ValueError("the session sink keeps no Trace")
         call_results: List[CallResult] = []
         for call in ctx.calls:
             call_trace = (
@@ -716,11 +716,9 @@ class SessionBuilder:
         )
 
 
-def run_session(
-    config: ScenarioConfig, sink: Optional[TraceSink] = None
-) -> SessionResult:
+def run_session(config: ScenarioConfig) -> SessionResult:
     """Build, run, and return one complete call session.
 
     The classic entry point, now a thin facade over :class:`SessionBuilder`.
     """
-    return SessionBuilder(config, sink=sink).run()
+    return SessionBuilder(config).run()

@@ -16,7 +16,7 @@ same derivation-keying discipline build systems use:
   (package version + a hash of the simulator source tree), so *any* code
   change self-invalidates, mirroring ``analysis/cache.py``'s CACHE_VERSION
   scheme;
-* values are the PR-9 ``ATHC1`` columnar trace payload plus a small pickled
+* values are the ``ATHC2`` columnar trace payload plus a small pickled
   :class:`RunSummary` (per-call specs and live-diagnosis counts), stored
   one file per entry under ``.athena-cache/`` with a JSON index, a size
   cap, and LRU eviction ordered by a logical access tick (no wall clock —
@@ -66,7 +66,7 @@ DEFAULT_CACHE_DIR = ".athena-cache"
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Entry-file magic: summary length + payload length follow as 8-byte
-#: big-endian integers, then the pickled summary, then the ATHC1 payload.
+#: big-endian integers, then the pickled summary, then the ATHC2 payload.
 _ENTRY_MAGIC = b"ATHE1\n"
 
 #: Subpackages whose sources feed the code-version salt.  These are the
@@ -345,10 +345,10 @@ class CachedSessionResult:
 
 
 def cache_entry_from_result(result: "SessionResult") -> Tuple[bytes, bytes]:
-    """``(ATHC1 payload, pickled summary)`` for a freshly-simulated run."""
-    from ..trace.columnar import columnar_trace_from_trace
+    """``(ATHC2 payload, pickled summary)`` for a freshly-simulated run."""
+    from ..trace.columnar import encode_payload
 
-    payload = columnar_trace_from_trace(result.trace).to_payload()
+    payload = encode_payload(result.trace)
     summary = pickle.dumps(
         summarize_result(result), protocol=pickle.HIGHEST_PROTOCOL
     )

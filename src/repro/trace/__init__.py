@@ -1,19 +1,7 @@
-"""Trace schema, telemetry sinks, and persistence for Athena experiments."""
+"""Trace schema, the telemetry sink, the payload codec and persistence."""
 
-from .bus import (
-    CHANNELS,
-    FilteredSink,
-    InMemorySink,
-    NullSink,
-    StreamingJsonlSink,
-    TraceSink,
-)
-from .columnar import (
-    ColumnarSink,
-    ColumnarTrace,
-    columnar_trace_from_trace,
-    trace_from_payload,
-)
+from .bus import CHANNELS, InMemorySink, TraceSink
+from .columnar import ColumnarTrace, encode_payload, trace_from_payload
 from .ids import IdSpace, use_id_space
 from .io import (
     TraceFormatError,
@@ -41,27 +29,23 @@ from .schema import (
 __all__ = [
     "CHANNELS",
     "CapturePoint",
-    "ColumnarSink",
     "ColumnarTrace",
-    "FilteredSink",
     "FrameRecord",
     "GrantRecord",
     "IdSpace",
     "InMemorySink",
     "MediaKind",
-    "NullSink",
     "PacketRecord",
     "ProbeRecord",
     "RanPacketTelemetry",
     "RtpInfo",
-    "StreamingJsonlSink",
     "SyncExchangeRecord",
     "TbKind",
     "Trace",
     "TraceSink",
     "TransportBlockRecord",
     "TraceFormatError",
-    "columnar_trace_from_trace",
+    "encode_payload",
     "export_csv",
     "iter_trace_records",
     "load_trace",

@@ -1,19 +1,16 @@
 """Telemetry sinks: where simulator components hand their records.
 
-Components used to hold a :class:`~repro.trace.schema.Trace` reference and
-append to its unbounded in-memory lists.  A :class:`TraceSink` decouples
-record *emission* from record *retention*, the same separation production
-telemetry stacks use, so one session assembly supports several back ends:
-
-* :class:`InMemorySink` — the default; reproduces today's :class:`Trace`
-  exactly (every record kept, in emission order);
-* :class:`StreamingJsonlSink` — writes the tagged JSONL format of
-  :mod:`repro.trace.io` incrementally, keeping only still-mutating records
-  resident.  Memory stays O(in-flight records), not O(run duration) —
-  what a paper-length 20-minute session needs;
-* :class:`NullSink` — drops everything (perf benches that only read the
-  live counters);
-* :class:`FilteredSink` — forwards a subset of channels to another sink.
+Components do not hold a :class:`~repro.trace.schema.Trace` and append to
+its lists; they emit each record on a named channel to a
+:class:`TraceSink`.  That keeps record *emission* apart from what receives
+it.  A session records into :class:`InMemorySink`, which keeps every record
+in a :class:`Trace` in emission order.  Live analysis wraps that sink in
+:class:`~repro.core.streaming.tap.AnalysisTap`, which forwards every call
+and also feeds the streaming operators.  Finished traces travel between
+processes and onto disk through the columnar codec
+(:mod:`repro.trace.columnar`), and to files through :mod:`repro.trace.io`.
+Per-call views of a multi-call cell come from
+:meth:`~repro.trace.schema.Trace.for_call`.
 
 Channels mirror the record families (and the JSONL ``"type"`` tags):
 ``packet``, ``tb``, ``grant``, ``frame``, ``probe``, ``sync``.
@@ -21,19 +18,15 @@ Channels mirror the record families (and the JSONL ``"type"`` tags):
 Mutable records (packets collect capture stamps along the path; frames get
 their render accounting at playout; probes their echo) are emitted with
 ``final=False`` and *finalized* by the component that applies the last
-mutation.  Sinks that serialize eagerly hold such records open until
-finalized, flushing completed prefixes in emission order so the persisted
-order matches the in-memory one.
+mutation.  The tap delivers a record to its operators at finalization, the
+earliest point an analysis may safely read it.
 """
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, IO, Iterable, Optional, Set, Union
+from typing import Dict, Optional
 
-from .schema import Trace, record_belongs_to_call
+from .schema import Trace
 
 #: Emission channels, in the order families appear in a saved trace.
 CHANNELS = ("packet", "tb", "grant", "frame", "probe", "sync")
@@ -53,7 +46,7 @@ class TraceSink:
     """Receiver of telemetry records emitted by simulator components.
 
     Subclasses implement :meth:`emit`; the finalization and lifecycle hooks
-    default to no-ops so retention-free sinks stay trivial.
+    default to no-ops.
     """
 
     def emit(self, channel: str, record: object, *, final: bool = True) -> None:
@@ -82,12 +75,6 @@ class TraceSink:
         """The in-memory :class:`Trace` this sink maintains, if any."""
         return None
 
-    def __enter__(self) -> "TraceSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class InMemorySink(TraceSink):
     """Default sink: collects every record into a :class:`Trace`."""
@@ -103,195 +90,3 @@ class InMemorySink(TraceSink):
 
     def result_trace(self) -> Optional[Trace]:
         return self.trace
-
-
-class NullSink(TraceSink):
-    """Zero-cost record suppression: every record is dropped on emit."""
-
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        pass
-
-
-class FilteredSink(TraceSink):
-    """Forward only a subset of the record stream to an inner sink.
-
-    ``FilteredSink(InMemorySink(), channels=("tb", "grant"))`` keeps the PHY
-    telemetry while suppressing the (much larger) packet family.  Passing
-    ``call_id`` (and the call's ``ue_id`` for the cell-shared PHY families)
-    scopes the view to one conference call of a multi-call cell — the
-    per-call sink views the session builder exposes, mirroring
-    :meth:`repro.trace.schema.Trace.for_call`.
-    """
-
-    def __init__(
-        self,
-        inner: TraceSink,
-        channels: Iterable[str] = CHANNELS,
-        *,
-        call_id: Optional[int] = None,
-        ue_id: Optional[int] = None,
-    ) -> None:
-        unknown = set(channels) - set(CHANNELS)
-        if unknown:
-            raise ValueError(f"unknown channels: {sorted(unknown)}")
-        self.inner = inner
-        self.channels: Set[str] = set(channels)
-        self.call_id = call_id
-        self.ue_id = ue_id
-
-    def _accepts(self, channel: str, record: object) -> bool:
-        if channel not in self.channels:
-            return False
-        if self.call_id is None:
-            return True
-        return record_belongs_to_call(channel, record, self.call_id, self.ue_id)
-
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        if self._accepts(channel, record):
-            self.inner.emit(channel, record, final=final)
-
-    def finalize(self, record: object) -> None:
-        self.inner.finalize(record)
-
-    def set_metadata(self, metadata: Dict[str, object]) -> None:
-        self.inner.set_metadata(metadata)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def result_trace(self) -> Optional[Trace]:
-        return self.inner.result_trace()
-
-
-#: Serialized lines a :class:`StreamingJsonlSink` buffers before issuing
-#: one ``write()`` call for the whole batch.
-FLUSH_LINES = 256
-
-
-class StreamingJsonlSink(TraceSink):
-    """Stream records to a tagged-JSONL file with bounded resident memory.
-
-    Immutable records (``final=True``) are serialized on emit.  Mutable ones
-    are held in per-channel emission-order tables; as finalizations arrive,
-    the completed *prefix* of each table is flushed, so the file preserves
-    emission order within every family and the resident set stays bounded by
-    the number of records still in flight.  :meth:`close` flushes whatever
-    never finalized (packets dropped mid-path, frames unrendered at the end
-    of the run) and appends the metadata line.
-
-    Serialized lines are batched in a small buffer and handed to the file
-    object in one ``write()`` per flush cycle (every :data:`FLUSH_LINES`
-    lines and at close), so write-call count grows with flushes, not
-    records — ``write_calls`` exposes the count for regression tests.
-
-    Files written here load with :func:`repro.trace.io.load_trace`.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        metadata: Optional[Dict[str, object]] = None,
-        *,
-        flush_lines: int = FLUSH_LINES,
-    ) -> None:
-        self.path = Path(path)
-        self._metadata: Dict[str, object] = dict(metadata or {})
-        self._fh: Optional[IO[str]] = self.path.open("w", encoding="utf-8")
-        self._meta_written = False
-        # Per-channel: emission-ordered open records and the finalized set.
-        self._open: Dict[str, "OrderedDict[int, object]"] = {
-            ch: OrderedDict() for ch in CHANNELS
-        }
-        self._done: Dict[str, Set[int]] = {ch: set() for ch in CHANNELS}
-        self._channel_of: Dict[int, str] = {}
-        self._buffer: list = []
-        self._flush_lines = max(1, flush_lines)
-        self.records_written = 0
-        self.write_calls = 0  # write() calls issued: O(flushes), not O(records)
-        self.open_record_peak = 0  # high-water mark of resident records
-
-    # ------------------------------------------------------------------
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        if channel not in CHANNEL_FIELDS:
-            raise ValueError(f"unknown channel: {channel!r}")
-        if final:
-            self._write(channel, record)
-            return
-        self._open[channel][id(record)] = record
-        self._channel_of[id(record)] = channel
-        self.open_record_peak = max(self.open_record_peak, len(self._channel_of))
-
-    def finalize(self, record: object) -> None:
-        channel = self._channel_of.get(id(record))
-        if channel is None:
-            return
-        self._done[channel].add(id(record))
-        self._flush_ready(channel)
-
-    def set_metadata(self, metadata: Dict[str, object]) -> None:
-        if self._meta_written:
-            raise RuntimeError("metadata already written; set it before records")
-        self._metadata.update(metadata)
-
-    def close(self) -> None:
-        if self._fh is None:
-            return
-        for channel in CHANNELS:
-            table = self._open[channel]
-            while table:
-                _, record = table.popitem(last=False)
-                self._channel_of.pop(id(record), None)
-                self._done[channel].discard(id(record))
-                self._write(channel, record)
-        self._ensure_meta()
-        self._flush_buffer()
-        self._fh.close()
-        self._fh = None
-
-    def open_record_count(self) -> int:
-        """Records currently held resident awaiting finalization."""
-        return len(self._channel_of)
-
-    # ------------------------------------------------------------------
-    def _flush_ready(self, channel: str) -> None:
-        table = self._open[channel]
-        done = self._done[channel]
-        while table:
-            key = next(iter(table))
-            if key not in done:
-                break
-            record = table.pop(key)
-            done.discard(key)
-            self._channel_of.pop(key, None)
-            self._write(channel, record)
-
-    def _ensure_meta(self) -> None:
-        if self._meta_written:
-            return
-        self._meta_written = True
-        from .io import to_jsonable
-
-        self._buffer.append(
-            json.dumps({"type": "meta", **to_jsonable(self._metadata)}) + "\n"
-        )
-
-    def _flush_buffer(self) -> None:
-        if not self._buffer:
-            return
-        assert self._fh is not None
-        self._fh.write("".join(self._buffer))
-        self.write_calls += 1
-        self._buffer.clear()
-
-    def _write(self, channel: str, record: object) -> None:
-        if self._fh is None:
-            raise RuntimeError(f"sink for {self.path} is closed")
-        self._ensure_meta()
-        from .io import to_jsonable
-
-        self._buffer.append(
-            json.dumps({"type": channel, **to_jsonable(record)}) + "\n"
-        )
-        self.records_written += 1
-        if len(self._buffer) >= self._flush_lines:
-            self._flush_buffer()

@@ -1,11 +1,12 @@
-"""Columnar trace backend: typed column arrays instead of record objects.
+"""Columnar trace codec: finished traces to flat bytes and back.
 
-:class:`~repro.trace.bus.InMemorySink` retains every telemetry record as a
-heap-allocated dataclass — at production trace volumes (per-packet records
-at four capture taps, per-TB/grant PHY telemetry, per-frame media records)
-the boxing itself becomes the hot path, and shipping such a trace across a
-process boundary pickles the whole object graph record by record.  This
-module stores each channel as **typed column arrays** instead:
+Sessions record into :class:`~repro.trace.bus.InMemorySink` rows.  Moving
+such a trace across a process boundary (the sweep executor's workers) or
+onto disk (the scenario result cache) by pickling would walk the record
+graph object by object.  This module is the codec those two transports use
+instead: :func:`encode_payload` transposes each channel's row list into
+**typed column arrays** and packs them into one ``bytes`` blob, and
+:func:`trace_from_payload` rebuilds a lazy :class:`ColumnarTrace` from it.
 
 * scalar fields live in ``array('q')`` / ``array('d')`` / ``array('b')``
   pools (optionals via sentinel encoding);
@@ -17,23 +18,18 @@ module stores each channel as **typed column arrays** instead:
   key tuple and pooling the values, so JSONL serialization stays
   byte-identical to the record writer;
 * nested dataclasses (``RtpInfo``, ``RanPacketTelemetry``) flatten into a
-  presence bitmap plus one sub-column per field.
+  presence bitmap plus one sub-column per field;
+* session metadata travels as JSON; encoding refuses metadata that would
+  not come back exactly.
 
-Mutable not-yet-final records (``final=False`` emissions) stay in a small
-row-format **staging area** — the live record object — and are transposed
-into the columns when finalized (or at :meth:`ColumnarSink.close`), so the
-emit hot path is a single list append and the transpose runs amortized over
-closed prefixes.  Readers never see the difference:
+Readers of a decoded trace never see the difference:
 :class:`ColumnarTrace` materializes real schema dataclasses lazily on row
 access (``trace.packets[i].captures`` works unchanged), caching
 materialized rows so repeated access returns the *same* object — the
 sharing contract :meth:`repro.trace.schema.Trace.for_call` documents.
-
-Because the payload of a finished store is a handful of flat buffers, a
-whole trace serializes to one compact ``bytes`` blob
-(:meth:`ColumnarTrace.to_payload` / :func:`trace_from_payload`) — a
-memcpy-shaped transport the sweep executor uses instead of pickling record
-graphs (see :mod:`repro.run.batch`).
+Consumers that need a few fields of many rows read whole columns
+(:meth:`ChannelView.column`, :meth:`ChannelView.captures_at`) without
+building any record.
 """
 
 from __future__ import annotations
@@ -43,10 +39,9 @@ import json
 import math
 import operator
 from array import array
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
-from .bus import CHANNELS, TraceSink
+from .bus import CHANNEL_FIELDS, CHANNELS
 from .schema import (
     FrameRecord,
     GrantRecord,
@@ -65,9 +60,6 @@ from .schema import (
 #: quantities (microsecond timestamps, sizes, ids) never reach +/-2**62.
 _NONE_INT = -(1 << 62)
 
-#: Rows a channel buffers in staging before an amortized transpose pass.
-TRANSPOSE_BATCH = 512
-
 
 # ----------------------------------------------------------------------
 # Column types
@@ -77,27 +69,18 @@ class _Column:
 
     kind = ""
 
-    def append(self, value: object) -> None:
-        raise NotImplementedError
-
     def append_batch(self, values: List[object]) -> None:
-        """Append many values at once (one call per column per transpose
-        pass, instead of one per field per record)."""
-        for value in values:
-            self.append(value)
+        """Append one value per row, in row order."""
+        raise NotImplementedError
 
     def get(self, i: int) -> object:
         """The field's Python value at row ``i`` (decoded)."""
         raise NotImplementedError
 
-    def json_value(self, i: int) -> object:
-        """The field's JSON-ready value at row ``i`` (same as the record
-        writer's :func:`repro.trace.io.to_jsonable` would produce)."""
-        return self.get(i)
-
     def json_list(self, start: int, stop: int) -> List[object]:
-        """JSON-ready values for rows ``[start, stop)`` in one pass."""
-        return [self.json_value(i) for i in range(start, stop)]
+        """JSON-ready values for rows ``[start, stop)`` in one pass (what
+        :func:`repro.trace.io.to_jsonable` would produce)."""
+        raise NotImplementedError
 
     def values(self, start: int, stop: int) -> List[object]:
         """Decoded values (as :meth:`get` returns them) for rows
@@ -121,9 +104,6 @@ class IntColumn(_Column):
     def __init__(self) -> None:
         self.data = array("q")
 
-    def append(self, value: object) -> None:
-        self.data.append(value)  # type: ignore[arg-type]
-
     def append_batch(self, values: List[object]) -> None:
         self.data.extend(values)  # type: ignore[arg-type]
 
@@ -142,9 +122,6 @@ class IntColumn(_Column):
 
 class OptIntColumn(IntColumn):
     kind = "optint"
-
-    def append(self, value: object) -> None:
-        self.data.append(_NONE_INT if value is None else value)  # type: ignore[arg-type]
 
     def append_batch(self, values: List[object]) -> None:
         self.data.extend(
@@ -167,9 +144,6 @@ class BoolColumn(_Column):
 
     def __init__(self) -> None:
         self.data = array("b")
-
-    def append(self, value: object) -> None:
-        self.data.append(1 if value else 0)
 
     def append_batch(self, values: List[object]) -> None:
         self.data.extend([1 if v else 0 for v in values])
@@ -196,14 +170,9 @@ class FloatColumn(_Column):
     def __init__(self) -> None:
         self.data = array("d")
 
-    def append(self, value: object) -> None:
+    def append_batch(self, values: List[object]) -> None:
         # array('d') accepts ints silently; that would turn a serialized
         # `0` into `0.0` and break byte-identity, so be strict here.
-        if type(value) is not float:
-            raise TypeError(f"float column got {type(value).__name__}: {value!r}")
-        self.data.append(value)
-
-    def append_batch(self, values: List[object]) -> None:
         for value in values:
             if type(value) is not float:
                 raise TypeError(
@@ -226,12 +195,6 @@ class FloatColumn(_Column):
 
 class OptFloatColumn(FloatColumn):
     kind = "optfloat"
-
-    def append(self, value: object) -> None:
-        if value is None:
-            self.data.append(math.nan)
-            return
-        super().append(value)
 
     def append_batch(self, values: List[object]) -> None:
         for value in values:
@@ -264,14 +227,6 @@ class StrColumn(_Column):
         self.data = array("i")
         self.table: List[str] = []
         self._codes: Dict[str, int] = {}
-
-    def append(self, value: object) -> None:
-        code = self._codes.get(value)  # type: ignore[arg-type]
-        if code is None:
-            code = len(self.table)
-            self._codes[value] = code  # type: ignore[index]
-            self.table.append(value)  # type: ignore[arg-type]
-        self.data.append(code)
 
     def append_batch(self, values: List[object]) -> None:
         codes, table, lookup = [], self.table, self._codes
@@ -310,9 +265,6 @@ class EnumColumn(StrColumn):
         self.enum_type = enum_type
         self._members: List[object] = []
 
-    def append(self, value: object) -> None:
-        super().append(value.value)  # type: ignore[attr-defined]
-
     def append_batch(self, values: List[object]) -> None:
         super().append_batch([v.value for v in values])  # type: ignore[attr-defined]
 
@@ -328,9 +280,6 @@ class EnumColumn(StrColumn):
             members.append(self.enum_type(self.table[len(members)]))
         return [members[code] for code in self.data[start:stop]]
 
-    def json_value(self, i: int) -> object:
-        return self.table[self.data[i]]
-
     def load(self, meta: Dict[str, object], buffers: List[array]) -> None:
         super().load(meta, buffers)
         self._members = []
@@ -344,10 +293,6 @@ class IntListColumn(_Column):
     def __init__(self) -> None:
         self.offsets = array("q", [0])
         self.pool = array("q")
-
-    def append(self, value: object) -> None:
-        self.pool.extend(value)  # type: ignore[arg-type]
-        self.offsets.append(len(self.pool))
 
     def append_batch(self, values: List[object]) -> None:
         pool, ends = self.pool, []
@@ -390,17 +335,6 @@ class CapturesColumn(_Column):
         self._codes: Dict[Tuple[str, ...], int] = {}
         self.offsets = array("q", [0])
         self.pool = array("q")
-
-    def append(self, value: object) -> None:
-        keys = tuple(value.keys())  # type: ignore[attr-defined]
-        code = self._codes.get(keys)
-        if code is None:
-            code = len(self.key_tables)
-            self._codes[keys] = code
-            self.key_tables.append(keys)
-        self.key_codes.append(code)
-        self.pool.extend(value.values())  # type: ignore[attr-defined]
-        self.offsets.append(len(self.pool))
 
     def append_batch(self, values: List[object]) -> None:
         lookup, tables, pool = self._codes, self.key_tables, self.pool
@@ -465,16 +399,6 @@ class StructColumn(_Column):
         self.present = array("b")
         self.names, self.columns = _build_columns(struct_type, field_kinds)
 
-    def append(self, value: object) -> None:
-        if value is None:
-            self.present.append(0)
-            for column in self.columns:
-                column.append(_ABSENT_DEFAULTS[column.kind])
-            return
-        self.present.append(1)
-        for name, column in zip(self.names, self.columns):
-            column.append(getattr(value, name))
-
     def append_batch(self, values: List[object]) -> None:
         self.present.extend([0 if v is None else 1 for v in values])
         for name, column in zip(self.names, self.columns):
@@ -490,14 +414,6 @@ class StructColumn(_Column):
 
     def values(self, start: int, stop: int) -> List[object]:
         return [self.get(i) for i in range(start, stop)]
-
-    def json_value(self, i: int) -> object:
-        if not self.present[i]:
-            return None
-        return {
-            name: column.json_value(i)
-            for name, column in zip(self.names, self.columns)
-        }
 
     def json_list(self, start: int, stop: int) -> List[object]:
         names = self.names
@@ -689,90 +605,27 @@ def _build_columns(
 # Per-channel store
 # ----------------------------------------------------------------------
 class ChannelStore:
-    """One channel's columns plus the row-format staging area.
+    """One channel's rows as typed columns.
 
-    Rows ``[0, base)`` live in the columns; rows ``[base, rows)`` are still
-    staged as live record objects (emission order).  A staged row is
-    *closed* once emitted final or finalized; closed prefixes transpose
-    into the columns in batches.
+    Built from a list of records (one ``append_batch`` per column) or
+    restored from a payload with :meth:`load`; read lazily through
+    :class:`ChannelView`.
     """
 
-    def __init__(self, channel: str) -> None:
+    def __init__(self, channel: str, records: Sequence[object] = ()) -> None:
         record_type, field_kinds = CHANNEL_SCHEMAS[channel]
         self.channel = channel
         self.record_type = record_type
         self.names, self.columns = _build_columns(record_type, field_kinds)
-        self._getters = [
-            (operator.attrgetter(name), column)
-            for name, column in zip(self.names, self.columns)
-        ]
         self._has_call_id = "call_id" in self.names
-        self._base = 0  # rows already transposed into the columns
-        self._staged: List[List[object]] = []  # [record, closed] entries
-        self._head = 0  # first staged entry not yet transposed
-        self._open: Dict[int, List[object]] = {}  # id(record) -> entry
         self._cache: Dict[int, object] = {}  # row -> materialized record
-
-    # -- write path ----------------------------------------------------
-    @property
-    def rows(self) -> int:
-        return self._base + len(self._staged) - self._head
-
-    def emit(self, record: object, final: bool) -> int:
-        """Stage one record; returns its (stable) row index."""
-        row = self.rows
-        entry = [record, final]
-        self._staged.append(entry)
-        if not final:
-            self._open[id(record)] = entry
-        elif len(self._staged) - self._head >= TRANSPOSE_BATCH:
-            self._transpose_ready()
-        return row
-
-    def close_record(self, record: object) -> bool:
-        """Mark a staged ``final=False`` record closed; True if known."""
-        entry = self._open.pop(id(record), None)
-        if entry is None:
-            return False
-        entry[1] = True
-        if len(self._staged) - self._head >= TRANSPOSE_BATCH:
-            self._transpose_ready()
-        return True
-
-    def flush(self) -> None:
-        """Transpose every staged row (open ones at their current state)."""
-        self._encode_batch([entry[0] for entry in self._staged[self._head :]])
-        self._staged.clear()
-        self._head = 0
-        self._open.clear()
-
-    def _transpose_ready(self) -> None:
-        staged, head = self._staged, self._head
-        n = len(staged)
-        while head < n and staged[head][1]:
-            head += 1
-        self._encode_batch([entry[0] for entry in staged[self._head : head]])
-        self._head = head
-        if head == n:
-            staged.clear()
-            self._head = 0
-        elif head > 4 * TRANSPOSE_BATCH:
-            del staged[:head]
-            self._head = 0
-
-    def _encode_batch(self, records: List[object]) -> None:
-        # One append_batch per column (C-level extend) instead of one
-        # append per field per record — the transpose hot path.
-        if not records:
-            return
-        for getter, column in self._getters:
-            column.append_batch([getter(record) for record in records])
-        self._base += len(records)
+        self.rows = len(records)
+        if records:
+            for name, column in zip(self.names, self.columns):
+                column.append_batch(list(map(operator.attrgetter(name), records)))
 
     # -- read path -----------------------------------------------------
     def get(self, row: int) -> object:
-        if row >= self._base:
-            return self._staged[self._head + (row - self._base)][0]
         cached = self._cache.get(row)
         if cached is None:
             cached = self.record_type(
@@ -783,34 +636,12 @@ class ChannelStore:
 
     def column(self, name: str) -> List[object]:
         """Field ``name`` of every row, decoded without building records."""
-        values = self.columns[self.names.index(name)].values(0, self._base)
-        values.extend(getattr(entry[0], name) for entry in self._staged[self._head :])
-        return values
+        return self.columns[self.names.index(name)].values(0, self.rows)
 
     def captures_at(self, tap: str) -> List[Optional[int]]:
         """Every row's capture stamp at ``tap`` (None where never seen)."""
         captures = self.columns[self.names.index("captures")]
-        stamps = captures.stamps(tap, self._base)  # type: ignore[attr-defined]
-        stamps.extend(
-            entry[0].captures.get(tap) for entry in self._staged[self._head :]
-        )
-        return stamps
-
-    def json_row(self, row: int) -> Dict[str, object]:
-        """The row as the JSON-able dict the record writer would produce."""
-        if row >= self._base:
-            from .io import to_jsonable
-
-            return to_jsonable(self._staged[self._head + (row - self._base)][0])  # type: ignore[return-value]
-        out = {
-            name: column.json_value(row)
-            for name, column in zip(self.names, self.columns)
-        }
-        # call_id is omitted when unset so single-call traces serialize
-        # byte-identically to files written before the multi-call cell.
-        if out.get("call_id", 0) is None:
-            del out["call_id"]
-        return out
+        return captures.stamps(tap, self.rows)  # type: ignore[attr-defined]
 
     def json_rows(
         self, start: int, stop: int, type_tag: Optional[str] = None
@@ -819,50 +650,36 @@ class ChannelStore:
 
         Each column decodes its whole slice in one pass and the rows are
         zipped back together at C speed — the fast path behind the batch
-        JSONL encoder.  Staged (not yet transposed) rows at the tail fall
-        back to per-row reflection.  When ``type_tag`` is given, each dict
-        gets a leading ``"type"`` key (first in insertion order, matching
-        the tagged-JSONL line format) without a second per-row copy.
+        JSONL encoder.  When ``type_tag`` is given, each dict gets a
+        leading ``"type"`` key (first in insertion order, matching the
+        tagged-JSONL line format) without a second per-row copy.
         """
-        base = self._base
-        batch_stop = min(stop, base)
-        rows: List[Dict[str, object]] = []
-        if start < batch_stop:
-            names = self.names
-            cols = [column.json_list(start, batch_stop) for column in self.columns]
-            if type_tag is not None:
-                names = ["type", *names]
-                cols.insert(0, [type_tag] * (batch_stop - start))
-            rows = [dict(zip(names, values)) for values in zip(*cols)]
-            if self._has_call_id:
-                for row in rows:
-                    if row["call_id"] is None:
-                        del row["call_id"]
-        if type_tag is None:
-            for i in range(max(start, batch_stop), stop):
-                rows.append(self.json_row(i))
-        else:
-            for i in range(max(start, batch_stop), stop):
-                rows.append({"type": type_tag, **self.json_row(i)})
+        names = self.names
+        cols = [column.json_list(start, stop) for column in self.columns]
+        if type_tag is not None:
+            names = ["type", *names]
+            cols.insert(0, [type_tag] * (stop - start))
+        rows = [dict(zip(names, values)) for values in zip(*cols)]
+        if self._has_call_id:
+            # call_id is omitted when unset so single-call traces serialize
+            # byte-identically to files written before the multi-call cell.
+            for row in rows:
+                if row["call_id"] is None:
+                    del row["call_id"]
         return rows
 
     # -- payload -------------------------------------------------------
     def dump(self) -> Tuple[Dict[str, object], List[array]]:
-        if self._staged:
-            raise RuntimeError(
-                f"channel {self.channel!r} still has staged rows; close the "
-                "sink before serializing"
-            )
         metas = []
         buffers: List[array] = []
         for column in self.columns:
             meta, parts = column.dump()
             metas.append({"meta": meta, "nbuf": len(parts)})
             buffers.extend(parts)
-        return {"rows": self._base, "columns": metas}, buffers
+        return {"rows": self.rows, "columns": metas}, buffers
 
     def load(self, meta: Dict[str, object], buffers: List[array]) -> None:
-        self._base = meta["rows"]  # type: ignore[assignment]
+        self.rows = meta["rows"]  # type: ignore[assignment]
         cursor = 0
         for column, column_meta in zip(self.columns, meta["columns"]):  # type: ignore[union-attr]
             nbuf = column_meta["nbuf"]
@@ -948,161 +765,53 @@ class ColumnarTrace(Trace):
         self.probes = ChannelView(stores["probe"])  # type: ignore[assignment]
         self.sync_exchanges = ChannelView(stores["sync"])  # type: ignore[assignment]
 
-    def to_payload(self) -> bytes:
-        """Serialize to the compact flat-buffer payload format."""
-        return encode_payload(self)
-
 
 # ----------------------------------------------------------------------
-# The sink
+# Payload codec
 # ----------------------------------------------------------------------
-class ColumnarSink(TraceSink):
-    """Telemetry sink retaining records in :class:`ChannelStore` columns.
+_PAYLOAD_MAGIC = b"ATHC2\n"
 
-    Emission is a list append; closed-prefix transposes run amortized in
-    :data:`TRANSPOSE_BATCH` chunks.  The sink also keeps the global *write
-    order* a :class:`~repro.trace.bus.StreamingJsonlSink` would have used
-    (immediate for final records, finalization-prefix order for mutable
-    ones, per-channel drain at close), so :meth:`write_jsonl` reproduces
-    the streaming sink's file byte for byte — proven by golden tests.
+
+def encode_payload(trace: Trace) -> bytes:
+    """Pack a trace's records into one compact ``bytes`` blob.
+
+    Each channel's row list is transposed into its typed columns, one
+    ``append_batch`` per column.  Layout: magic, 8-byte big-endian header
+    length, JSON header (channel layouts, intern tables, metadata length),
+    the JSON metadata, then the raw column buffers back to back.  Buffers
+    round-trip through ``array.tobytes``/``frombytes`` — a memcpy, not a
+    per-record walk.
+
+    Raises :class:`ValueError` when the metadata does not survive a JSON
+    round trip exactly (a tuple, a non-string key, an enum member...).
     """
-
-    def __init__(self, metadata: Optional[Dict[str, object]] = None) -> None:
-        self.stores: Dict[str, ChannelStore] = {
-            channel: ChannelStore(channel) for channel in CHANNELS
-        }
-        self._metadata: Dict[str, object] = dict(metadata or {})
-        self._channel_code = {channel: k for k, channel in enumerate(CHANNELS)}
-        self._order_channel = array("b")
-        self._order_row = array("q")
-        # Emission-ordered still-open rows per channel (StreamingJsonlSink's
-        # prefix-flush bookkeeping, tracking row indices instead of files).
-        self._open: Dict[str, "OrderedDict[int, int]"] = {
-            channel: OrderedDict() for channel in CHANNELS
-        }
-        self._done: Dict[str, set] = {channel: set() for channel in CHANNELS}
-        self._channel_of: Dict[int, str] = {}
-        self._closed = False
-        self._trace: Optional[ColumnarTrace] = None
-
-    # ------------------------------------------------------------------
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        store = self.stores.get(channel)
-        if store is None:
-            raise ValueError(f"unknown channel: {channel!r}")
-        if self._closed:
-            raise RuntimeError("columnar sink is closed")
-        row = store.emit(record, final)
-        if final:
-            self._order_channel.append(self._channel_code[channel])
-            self._order_row.append(row)
-            return
-        self._open[channel][id(record)] = row
-        self._channel_of[id(record)] = channel
-
-    def finalize(self, record: object) -> None:
-        channel = self._channel_of.get(id(record))
-        if channel is None:
-            return
-        self.stores[channel].close_record(record)
-        self._done[channel].add(id(record))
-        # Flush the completed prefix of the channel's open table into the
-        # global write order, mirroring StreamingJsonlSink._flush_ready.
-        table = self._open[channel]
-        done = self._done[channel]
-        code = self._channel_code[channel]
-        while table:
-            key = next(iter(table))
-            if key not in done:
-                break
-            row = table.pop(key)
-            done.discard(key)
-            self._channel_of.pop(key, None)
-            self._order_channel.append(code)
-            self._order_row.append(row)
-
-    def set_metadata(self, metadata: Dict[str, object]) -> None:
-        self._metadata.update(metadata)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        for channel in CHANNELS:
-            code = self._channel_code[channel]
-            table = self._open[channel]
-            while table:
-                key, row = table.popitem(last=False)
-                self._channel_of.pop(key, None)
-                self._done[channel].discard(key)
-                self._order_channel.append(code)
-                self._order_row.append(row)
-            self.stores[channel].flush()
-        self._closed = True
-
-    def result_trace(self) -> Optional[Trace]:
-        if self._trace is None:
-            self._trace = ColumnarTrace(self.stores, self._metadata)
-        return self._trace
-
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path, batch_rows: int = 1024) -> int:
-        """Write the tagged-JSONL trace file, batch-encoded from columns.
-
-        Line order (and therefore bytes) matches what a
-        :class:`~repro.trace.bus.StreamingJsonlSink` fed the same emission
-        sequence would have written.  Returns the record-line count.
-        """
-        from .io import encode_jsonl_batch, to_jsonable
-
-        if not self._closed:
-            raise RuntimeError("close the sink before writing JSONL")
-        dumps = json.dumps
-        channel_names = list(CHANNELS)
-        written = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps({"type": "meta", **to_jsonable(self._metadata)}) + "\n")
-            order_channel, order_row = self._order_channel, self._order_row
-            for start in range(0, len(order_row), batch_rows):
-                stop = min(start + batch_rows, len(order_row))
-                rows = []
-                for k in range(start, stop):
-                    channel = channel_names[order_channel[k]]
-                    row = self.stores[channel].json_row(order_row[k])
-                    rows.append({"type": channel, **row})
-                fh.write(encode_jsonl_batch(rows))
-                written += len(rows)
-        return written
-
-
-# ----------------------------------------------------------------------
-# Payload transport
-# ----------------------------------------------------------------------
-_PAYLOAD_MAGIC = b"ATHC1\n"
-
-
-def encode_payload(trace: ColumnarTrace) -> bytes:
-    """Pack a columnar trace into one compact ``bytes`` blob.
-
-    Layout: magic, 8-byte big-endian header length, JSON header (channel
-    layouts, intern tables, pickled-metadata length), then the raw column
-    buffers back to back.  Buffers round-trip through
-    ``array.tobytes``/``frombytes`` — a memcpy, not a per-record walk.
-    """
-    import pickle
-
-    header: Dict[str, object] = {"channels": {}, "buffers": []}
-    chunks: List[bytes] = []
+    metadata = dict(trace.metadata)
+    try:
+        meta_text = json.dumps(metadata)
+    except TypeError as exc:
+        raise ValueError(f"trace metadata is not JSON: {exc}") from None
+    # repr, not ==: a tuple, a str enum or an int enum compares equal to
+    # the list, str or int JSON hands back.
+    if repr(json.loads(meta_text)) != repr(metadata):
+        raise ValueError("trace metadata does not survive a JSON round trip")
+    meta_blob = meta_text.encode("utf-8")
+    channels: Dict[str, object] = {}
     buffer_specs: List[List[object]] = []
-    for channel, store in trace.stores.items():
-        meta, buffers = store.dump()
-        header["channels"][channel] = meta  # type: ignore[index]
+    chunks: List[bytes] = []
+    for channel in CHANNELS:
+        meta, buffers = ChannelStore(
+            channel, getattr(trace, CHANNEL_FIELDS[channel])
+        ).dump()
+        channels[channel] = meta
         for buf in buffers:
             raw = buf.tobytes()
             buffer_specs.append([buf.typecode, len(raw)])
             chunks.append(raw)
-    header["buffers"] = buffer_specs
-    meta_blob = pickle.dumps(dict(trace.metadata), protocol=pickle.HIGHEST_PROTOCOL)
-    header["metadata_bytes"] = len(meta_blob)
+    header = {
+        "channels": channels,
+        "buffers": buffer_specs,
+        "metadata_bytes": len(meta_blob),
+    }
     header_blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     parts = [
         _PAYLOAD_MAGIC,
@@ -1116,8 +825,6 @@ def encode_payload(trace: ColumnarTrace) -> bytes:
 
 def trace_from_payload(payload: bytes) -> ColumnarTrace:
     """Rebuild a :class:`ColumnarTrace` from :func:`encode_payload` bytes."""
-    import pickle
-
     if payload[: len(_PAYLOAD_MAGIC)] != _PAYLOAD_MAGIC:
         raise ValueError("not a columnar trace payload")
     cursor = len(_PAYLOAD_MAGIC)
@@ -1126,7 +833,7 @@ def trace_from_payload(payload: bytes) -> ColumnarTrace:
     header = json.loads(payload[cursor : cursor + header_len])
     cursor += header_len
     meta_len = header["metadata_bytes"]
-    metadata = pickle.loads(payload[cursor : cursor + meta_len])
+    metadata = json.loads(payload[cursor : cursor + meta_len])
     cursor += meta_len
     view = memoryview(payload)
     buffers: List[array] = []
@@ -1145,19 +852,3 @@ def trace_from_payload(payload: bytes) -> ColumnarTrace:
         offset += nbuf
         stores[channel] = store
     return ColumnarTrace(stores, metadata)
-
-
-def columnar_trace_from_trace(trace: Trace) -> ColumnarTrace:
-    """Transpose an ordinary record-backed trace into columns."""
-    from .bus import CHANNEL_FIELDS
-
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    sink = ColumnarSink(metadata=dict(trace.metadata))
-    for channel, attr in CHANNEL_FIELDS.items():
-        for record in getattr(trace, attr):
-            sink.emit(channel, record)
-    sink.close()
-    result = sink.result_trace()
-    assert isinstance(result, ColumnarTrace)
-    return result

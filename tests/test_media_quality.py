@@ -25,7 +25,7 @@ from repro.media import (
 )
 from repro.run import CallSpec, ScenarioCache, ScenarioConfig, collect_qoe, run_session
 from repro.trace import CapturePoint, FrameRecord, MediaKind, PacketRecord, Trace
-from repro.trace.columnar import columnar_trace_from_trace
+from repro.trace.columnar import encode_payload, trace_from_payload
 
 
 def _packet(pid, size, receiver_us):
@@ -42,8 +42,8 @@ def _frame(fid, capture_us, rendered_us, ssim=0.85, stream="video"):
 
 
 def _columnar(packets=(), frames=()):
-    return columnar_trace_from_trace(
-        Trace(packets=list(packets), frames=list(frames))
+    return trace_from_payload(
+        encode_payload(Trace(packets=list(packets), frames=list(frames)))
     )
 
 

@@ -28,7 +28,7 @@ from repro.phy.tdd import TddFrame
 from repro.run.batch import RunSpec, collect_call_summaries, run_batch
 from repro.run.builder import run_session
 from repro.run.scenario import CallSpec, ScenarioConfig
-from repro.trace.bus import CHANNEL_FIELDS, FilteredSink, InMemorySink
+from repro.trace.bus import CHANNEL_FIELDS
 from repro.trace.io import _to_jsonable, load_trace, save_trace
 from repro.trace.schema import (
     PacketRecord,
@@ -300,7 +300,7 @@ def test_per_call_estimator_override():
 
 
 # ----------------------------------------------------------------------
-# Unit tests: call-scoped bus views and the composite advisor
+# Unit tests: call attribution and the composite advisor
 # ----------------------------------------------------------------------
 def _packet(packet_id: int, call_id=None) -> PacketRecord:
     return PacketRecord(
@@ -310,15 +310,6 @@ def _packet(packet_id: int, call_id=None) -> PacketRecord:
         size_bytes=1_000,
         call_id=call_id,
     )
-
-
-def test_filtered_sink_scopes_by_call_id():
-    inner = InMemorySink(Trace())
-    sink = FilteredSink(inner, call_id=1)
-    sink.emit("packet", _packet(1, call_id=0))
-    sink.emit("packet", _packet(2, call_id=1))
-    sink.emit("packet", _packet(3, call_id=None))
-    assert [p.packet_id for p in inner.trace.packets] == [2]
 
 
 def test_record_belongs_to_call_uses_ue_for_phy_channels():

@@ -32,6 +32,7 @@ from repro.core.streaming import (
     SyncOffsetOperator,
     TbPacketCorrelator,
     TimeOrderedOperator,
+    record_event_time,
     replay_file,
     replay_trace,
 )
@@ -39,13 +40,32 @@ from repro.core.streaming.live import DEFAULT_TRACKED_PACKETS
 from repro.run.builder import SessionBuilder, run_session
 from repro.run.scenario import MONITORED_UE_ID, ScenarioConfig
 from repro.sim.units import ms
-from repro.trace.bus import InMemorySink, StreamingJsonlSink
-from repro.trace.io import load_trace, save_trace
+from repro.trace.bus import CHANNEL_FIELDS, InMemorySink
+from repro.trace.io import encode_jsonl_batch, load_trace, save_trace, to_jsonable
 from repro.trace.schema import MediaKind, PacketRecord, Trace
 
 #: Ceiling on a streaming pass's peak traced memory, as a fraction of
 #: loading the whole trace.
 STREAMING_MAX_PEAK_RATIO = 0.8
+
+
+def _save_in_event_time_order(trace: Trace, path) -> None:
+    """Write ``trace`` as tagged JSONL with the channels interleaved.
+
+    Lines follow :func:`record_event_time` across all channels (stable, so
+    ties keep family order), the order a capture tool writes them, instead
+    of ``save_trace``'s one-family-after-another grouping.
+    """
+    records = [
+        (channel, record)
+        for channel, attr in CHANNEL_FIELDS.items()
+        for record in getattr(trace, attr)
+    ]
+    records.sort(key=lambda item: record_event_time(*item))
+    rows = [{"type": "meta", **to_jsonable(trace.metadata)}]
+    rows.extend({"type": channel, **to_jsonable(record)} for channel, record in records)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(encode_jsonl_batch(rows))
 
 
 def _live_tap_results(config: ScenarioConfig):
@@ -91,8 +111,8 @@ class TestLiveBatchEquivalence:
         path = tmp_path / "live.jsonl"
         config = ScenarioConfig(duration_s=2.0, seed=5)
         live = StreamingReportOperator()
-        tap = AnalysisTap([live], inner=StreamingJsonlSink(path))
-        SessionBuilder(config, sink=tap).run()
+        tap = AnalysisTap([live], inner=InMemorySink(Trace()))
+        save_trace(SessionBuilder(config, sink=tap).run().trace, path)
 
         offline = replay_file(str(path), [StreamingReportOperator()])["report"]
         assert live.record_counts == offline.record_counts
@@ -142,33 +162,19 @@ class TestLiveSessionPath:
         assert predictor.bursts_observed > 0
         assert predictor.estimate() is not None
 
-    def test_streaming_sink_session_retains_no_trace(self, tmp_path):
-        path = tmp_path / "bounded.jsonl"
-        result = run_session(
-            ScenarioConfig(duration_s=2.0, seed=2, live_analysis=True),
-            sink=StreamingJsonlSink(path),
-        )
-        # No full-trace retention anywhere: the result trace is empty and
-        # the file still loads into the batch analyzers.
-        assert not result.trace.packets
-        assert result.diagnosis is not None
-        assert result.diagnosis.packets_seen > 0
-        trace = load_trace(path)
-        assert trace.packets
-
     def test_streaming_pass_peaks_below_loading_the_trace(self, tmp_path):
         """analyze's single pass holds a watermark window, not the trace.
 
-        Peak traced memory of one streaming pass over an emission-ordered
+        Peak traced memory of one streaming pass over a time-interleaved
         file stays at or below 0.8x of ``load_trace`` on the same file (the
         batch baseline).  The ratio grows more favourable with trace
         length; 6 simulated seconds keep it honest at test speed.
         """
         path = tmp_path / "peak.jsonl"
-        run_session(
-            ScenarioConfig(duration_s=6.0, seed=7, live_analysis=True),
-            sink=StreamingJsonlSink(path),
+        result = run_session(
+            ScenarioConfig(duration_s=6.0, seed=7, live_analysis=True)
         )
+        _save_in_event_time_order(result.trace, path)
         tracemalloc.start()
         try:
             trace = load_trace(path)

@@ -1,20 +1,11 @@
-"""The telemetry-sink layer: equivalence, filtering, bounded streaming."""
+"""The telemetry-sink layer: the default in-memory sink and its channels."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.app.session import run_session
 from repro.experiments.common import idle_cell_scenario
-from repro.trace import load_trace, save_trace
-from repro.trace.bus import (
-    CHANNELS,
-    FilteredSink,
-    InMemorySink,
-    NullSink,
-    StreamingJsonlSink,
-)
-from repro.trace.schema import ProbeRecord, Trace
+from repro.trace.bus import CHANNEL_FIELDS, CHANNELS
+from repro.trace.schema import Trace
 
 
 def _scenario(**overrides):
@@ -25,147 +16,13 @@ def _scenario(**overrides):
 
 
 class TestSinkEquivalence:
-    def test_streaming_matches_in_memory_after_load(self, tmp_path):
-        config = _scenario()
-        mem_path = tmp_path / "mem.jsonl"
-        stream_path = tmp_path / "stream.jsonl"
-
-        result = run_session(config)
-        save_trace(result.trace, mem_path)
-        run_session(config, sink=StreamingJsonlSink(stream_path))
-
-        # The streaming file interleaves channels by finalization time, so
-        # compare through the loader: same records, same per-family order.
-        round_mem = tmp_path / "round_mem.jsonl"
-        round_stream = tmp_path / "round_stream.jsonl"
-        save_trace(load_trace(mem_path), round_mem)
-        save_trace(load_trace(stream_path), round_stream)
-        assert round_mem.read_bytes() == round_stream.read_bytes()
-
-    def test_streaming_memory_stays_bounded(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "trace.jsonl")
-        run_session(_scenario(duration_s=3.0), sink=sink)
-        assert sink.records_written > 500
-        # Resident records are only the still-mutating ones (in-flight
-        # packets/probes plus the last unrendered frames), not the run.
-        assert sink.open_record_peak < 60
-        assert sink.open_record_count() == 0  # close() drained everything
-
     def test_in_memory_sink_is_the_default_trace(self):
         result = run_session(_scenario())
         assert result.topology.sink.result_trace() is result.trace
         assert len(result.trace.packets) > 50
 
 
-class TestNullSink:
-    def test_drops_records_but_keeps_live_counters(self):
-        result = run_session(_scenario(), sink=NullSink())
-        assert result.trace.packets == []
-        assert result.trace.transport_blocks == []
-        # The session itself still ran: live objects carry their stats.
-        assert result.receiver.packets_received > 50
-
-
-class TestFilteredSink:
-    def test_keeps_only_selected_channels(self):
-        inner = InMemorySink()
-        result = run_session(
-            _scenario(), sink=FilteredSink(inner, channels=("tb", "grant"))
-        )
-        trace = inner.trace
-        assert trace.packets == [] and trace.frames == []
-        assert len(trace.transport_blocks) > 0
-        assert len(trace.grants) > 0
-        # result.trace is the inner sink's trace, reached through forwarding.
-        assert result.trace is trace
-
-    def test_unknown_channel_rejected(self):
-        with pytest.raises(ValueError, match="unknown channels"):
-            FilteredSink(InMemorySink(), channels=("packet", "nope"))
-
-
-class TestStreamingJsonlSink:
-    def test_unfinalized_records_flush_on_close(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = StreamingJsonlSink(path)
-        record = ProbeRecord(probe_id=1, sent_us=10)
-        sink.emit("probe", record, final=False)
-        assert sink.records_written == 0
-        sink.close()
-        assert load_trace(path).probes == [record]
-
-    def test_file_preserves_emission_order_within_channel(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = StreamingJsonlSink(path)
-        first = ProbeRecord(probe_id=1, sent_us=10)
-        second = ProbeRecord(probe_id=2, sent_us=20)
-        sink.emit("probe", first, final=False)
-        sink.emit("probe", second, final=False)
-        sink.finalize(second)  # out of order: must not overtake `first`
-        assert sink.records_written == 0
-        sink.finalize(first)  # prefix complete: both flush, in order
-        assert sink.records_written == 2
-        sink.close()
-        assert [p.probe_id for p in load_trace(path).probes] == [1, 2]
-
-    def test_metadata_lands_in_the_meta_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with StreamingJsonlSink(path) as sink:
-            sink.set_metadata({"seed": 3, "access": "5g"})
-        trace = load_trace(path)
-        assert trace.metadata["seed"] == 3
-        assert trace.metadata["access"] == "5g"
-
-    def test_metadata_frozen_after_first_write(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        sink.emit("probe", ProbeRecord(probe_id=1, sent_us=0))
-        with pytest.raises(RuntimeError, match="metadata already written"):
-            sink.set_metadata({"seed": 9})
-        sink.close()
-
-    def test_unknown_channel_rejected(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        with pytest.raises(ValueError, match="unknown channel"):
-            sink.emit("bogus", object())
-        sink.close()
-
-    def test_emit_after_close_raises(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        sink.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            sink.emit("probe", ProbeRecord(probe_id=1, sent_us=0))
-
-    def test_finalize_of_unemitted_record_is_noop(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        sink.finalize(ProbeRecord(probe_id=7, sent_us=0))  # must not raise
-        sink.close()
-
-    def test_write_calls_scale_with_flushes_not_records(self, tmp_path):
-        # Buffered lines must land via one write() per flush cycle: for
-        # n records at flush_lines=f that is ceil((n + 1) / f) calls (the
-        # +1 is the meta line), never O(n).
-        n, flush_lines = 1_000, 256
-        path = tmp_path / "t.jsonl"
-        sink = StreamingJsonlSink(path, flush_lines=flush_lines)
-        for i in range(n):
-            sink.emit("probe", ProbeRecord(probe_id=i, sent_us=i))
-        sink.close()
-        assert sink.records_written == n
-        assert sink.write_calls <= -(-(n + 1) // flush_lines)
-        assert len(load_trace(path).probes) == n
-
-    def test_small_runs_flush_once_on_close(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        for i in range(5):
-            sink.emit("probe", ProbeRecord(probe_id=i, sent_us=i))
-        assert sink.write_calls == 0  # everything still buffered
-        sink.close()
-        assert sink.write_calls == 1  # meta + 5 records, one write()
-
-
 def test_channels_cover_every_trace_family():
-    from repro.trace.bus import CHANNEL_FIELDS
-
     trace = Trace()
     assert set(CHANNELS) == set(CHANNEL_FIELDS)
     for field_name in CHANNEL_FIELDS.values():

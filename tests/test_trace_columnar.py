@@ -1,11 +1,11 @@
-"""The columnar trace backend: byte-identity, lazy views, payload transport.
+"""The columnar trace codec: byte-identity, lazy views, payload transport.
 
-The contract under test is strict: a :class:`ColumnarSink` fed the same
-emission sequence as the row-based sinks must produce (a) record-equal
-row views, (b) byte-identical JSONL through both the family-ordered batch
-writer and the stream-ordered ``write_jsonl``, and (c) a flat payload that
-round-trips without loss.  Golden hashes compare whole files, so a single
-float formatting or key-order divergence fails loudly.
+The contract under test is strict: a row trace encoded with
+:func:`encode_payload` and decoded with :func:`trace_from_payload` must give
+(a) record-equal row views, (b) byte-identical JSONL through the
+family-ordered batch writer, (c) column readers equal to field reads on
+the rows, and (d) the same metadata.  Golden hashes compare whole files,
+so a single float formatting or key-order divergence fails loudly.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.run import CallSpec, ScenarioConfig, SessionBuilder
+from repro.net.topology import PathConfig
+from repro.run import CallSpec, ScenarioConfig, run_session
 from repro.trace import (
-    ColumnarSink,
-    InMemorySink,
-    StreamingJsonlSink,
     Trace,
+    encode_payload,
     load_trace,
     save_trace,
     write_trace_jsonl,
@@ -29,7 +28,6 @@ from repro.trace import (
 from repro.trace.bus import CHANNEL_FIELDS
 from repro.trace.columnar import (
     CHANNEL_SCHEMAS,
-    TRANSPOSE_BATCH,
     ColumnarTrace,
     trace_from_payload,
 )
@@ -49,10 +47,12 @@ FAMILIES = ("packets", "transport_blocks", "grants", "frames", "probes",
             "sync_exchanges")
 
 
-def _run(config, sink):
-    builder = SessionBuilder(config, sink=sink)
-    builder.run()
-    return sink.result_trace()
+def _run(config):
+    return run_session(config).trace
+
+
+def _round_trip(trace):
+    return trace_from_payload(encode_payload(trace))
 
 
 def _sha256(path):
@@ -67,22 +67,12 @@ class TestGoldenByteIdentity:
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_family_order_file_is_byte_identical(self, tmp_path, seed, access):
         config = ScenarioConfig(seed=seed, access=access, duration_s=1.0)
+        mem = _run(config)
         mem_path = tmp_path / "mem.jsonl"
         col_path = tmp_path / "col.jsonl"
-        save_trace(_run(config, InMemorySink(Trace())), mem_path)
-        write_trace_jsonl(_run(config, ColumnarSink()), col_path)
+        save_trace(mem, mem_path)
+        write_trace_jsonl(_round_trip(mem), col_path)
         assert _sha256(mem_path) == _sha256(col_path)
-
-    @pytest.mark.parametrize("access", ["5g", "emulated"])
-    def test_stream_order_file_matches_streaming_sink(self, tmp_path, access):
-        config = ScenarioConfig(seed=7, access=access, duration_s=1.0)
-        stream_path = tmp_path / "stream.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        _run(config, StreamingJsonlSink(stream_path))
-        sink = ColumnarSink()
-        _run(config, sink)
-        sink.write_jsonl(col_path)
-        assert _sha256(stream_path) == _sha256(col_path)
 
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_two_call_cell_stays_identical(self, tmp_path, access):
@@ -90,8 +80,8 @@ class TestGoldenByteIdentity:
             seed=7, access=access, duration_s=1.0,
             calls=(CallSpec(call_id=0), CallSpec(call_id=1)),
         )
-        mem = _run(config, InMemorySink(Trace()))
-        col = _run(config, ColumnarSink())
+        mem = _run(config)
+        col = _round_trip(mem)
         mem_path = tmp_path / "mem.jsonl"
         col_path = tmp_path / "col.jsonl"
         save_trace(mem, mem_path)
@@ -107,16 +97,14 @@ class TestGoldenByteIdentity:
                     getattr(sub_mem, family)
                 )
 
-    def test_rows_equal_in_memory_records(self, tmp_path):
-        config = ScenarioConfig(seed=11, duration_s=1.0)
-        mem = _run(config, InMemorySink(Trace()))
-        col = _run(config, ColumnarSink())
+    def test_rows_equal_in_memory_records(self):
+        mem = _run(ScenarioConfig(seed=11, duration_s=1.0))
+        col = _round_trip(mem)
         for family in FAMILIES:
             assert list(getattr(col, family)) == list(getattr(mem, family))
 
     def test_written_file_loads_back(self, tmp_path):
-        config = ScenarioConfig(seed=7, duration_s=1.0)
-        col = _run(config, ColumnarSink())
+        col = _round_trip(_run(ScenarioConfig(seed=7, duration_s=1.0)))
         path = tmp_path / "t.jsonl"
         write_trace_jsonl(col, path)
         loaded = load_trace(path)
@@ -131,18 +119,23 @@ _call_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 
 
 @st.composite
-def _emission_plan(draw):
-    """A randomized emission sequence: (channel, record, final) triples.
+def _row_trace(draw):
+    """A randomized row trace.
 
-    Mixes immutable and mutable records across channels, optional nested
-    structures, call-id tagging, and a randomized subset of finalize calls
-    so some records stay open mid-session (flushed only at close).
+    Mixes records across channels, optional nested structures, call-id
+    tagging, and JSON-safe metadata.
     """
     n = draw(st.integers(min_value=1, max_value=25))
-    plan = []
+    trace = Trace(metadata=draw(st.dictionaries(
+        st.sampled_from(["seed", "access", "clock_offsets_us"]),
+        st.one_of(
+            st.integers(), st.text(max_size=4),
+            st.floats(allow_nan=False),
+            st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+        ),
+    )))
     for i in range(n):
         kind = draw(st.sampled_from(["packet", "tb", "frame", "probe"]))
-        final = draw(st.booleans())
         if kind == "packet":
             rtp = None
             if draw(st.booleans()):
@@ -216,42 +209,18 @@ def _emission_plan(draw):
                     st.none(), st.integers(min_value=0, max_value=10**7))),
                 call_id=draw(_call_ids),
             )
-        plan.append((kind, record, final))
-    finalize_mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return plan, finalize_mask
+        getattr(trace, CHANNEL_FIELDS[kind]).append(record)
+    return trace
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=_emission_plan())
-def test_columnar_rows_equal_in_memory_for_random_sessions(data):
-    import copy
-
-    plan, finalize_mask = data
-    mem = InMemorySink(Trace())
-    col = ColumnarSink()
-    # Each sink gets its own record objects (the columnar sink may retain
-    # staged references), mutated identically.
-    col_plan = [(c, copy.deepcopy(r), f) for c, r, f in plan]
-    for (channel, record, final), (_, col_record, _) in zip(plan, col_plan):
-        mem.emit(channel, record, final=final)
-        col.emit(channel, col_record, final=final)
-    for selected, (_, record, final), (_, col_record, _) in zip(
-        finalize_mask, plan, col_plan
-    ):
-        if selected and not final:
-            mem.finalize(record)
-            col.finalize(col_record)
-    # Mid-session: open (non-final) records must already be visible.
-    mid_mem = mem.result_trace()
-    mid_col = col.result_trace()
-    _assert_column_readers_match(mid_col, mid_mem)
+@given(mem=_row_trace())
+def test_columnar_rows_equal_in_memory_for_random_sessions(mem):
+    col = _round_trip(mem)
+    assert repr(col.metadata) == repr(mem.metadata)
+    _assert_column_readers_match(col, mem)
     for family in FAMILIES:
-        assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
-    mem.close()
-    col.close()
-    _assert_column_readers_match(mid_col, mid_mem)
-    for family in FAMILIES:
-        assert list(getattr(mid_col, family)) == list(getattr(mid_mem, family))
+        assert list(getattr(col, family)) == list(getattr(mem, family))
 
 
 def _scalar_fields(channel):
@@ -288,17 +257,46 @@ def _assert_column_readers_match(col, mem):
 # ---------------------------------------------------------------------------
 class TestPayloadRoundTrip:
     def test_session_round_trips_through_payload(self):
-        config = ScenarioConfig(seed=23, duration_s=1.0)
-        col = _run(config, ColumnarSink())
-        rebuilt = trace_from_payload(col.to_payload())
+        mem = _run(ScenarioConfig(seed=23, duration_s=1.0))
+        payload = encode_payload(mem)
+        rebuilt = trace_from_payload(payload)
         assert isinstance(rebuilt, ColumnarTrace)
-        assert rebuilt.metadata == col.metadata
+        assert rebuilt.metadata == mem.metadata
         for family in FAMILIES:
-            assert list(getattr(rebuilt, family)) == list(getattr(col, family))
+            assert list(getattr(rebuilt, family)) == list(getattr(mem, family))
+        # A decoded trace encodes back to the same bytes.
+        assert encode_payload(rebuilt) == payload
+
+    def test_metadata_round_trips_with_clock_offsets(self):
+        offsets = {"sender": 6_000, "core": -1_500}
+        mem = _run(ScenarioConfig(
+            seed=3, duration_s=0.3, time_sync=True,
+            path=PathConfig(clock_offsets_us=dict(offsets)),
+        ))
+        assert mem.metadata["clock_offsets_us"] == offsets
+        rebuilt = _round_trip(mem)
+        assert repr(rebuilt.metadata) == repr(mem.metadata)
+
+    @pytest.mark.parametrize("metadata", [
+        {"calls": (0, 1)},
+        {"clock_offsets_us": {1: 5}},
+        {"access": MediaKind.VIDEO},
+        {"seed": object()},
+    ], ids=["tuple", "int-key", "enum", "object"])
+    def test_metadata_that_is_not_json_raises_at_encode(self, metadata):
+        with pytest.raises(ValueError, match="metadata"):
+            encode_payload(Trace(metadata=metadata))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="payload"):
             trace_from_payload(b"not-a-payload")
+
+    def test_athc1_payload_rejected(self):
+        # The previous layout (pickled metadata) under its own magic.
+        payload = encode_payload(Trace())
+        old = b"ATHC1\n" + payload[len(b"ATHC2\n"):]
+        with pytest.raises(ValueError, match="not a columnar trace payload"):
+            trace_from_payload(old)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +304,8 @@ class TestPayloadRoundTrip:
 # ---------------------------------------------------------------------------
 class TestChannelView:
     def _trace(self, n=5):
-        sink = ColumnarSink()
         records = [ProbeRecord(probe_id=i, sent_us=i * 10) for i in range(n)]
-        for record in records:
-            sink.emit("probe", record)
-        sink.close()
-        return sink.result_trace(), records
+        return _round_trip(Trace(probes=list(records))), records
 
     def test_len_index_slice_and_negative(self):
         trace, records = self._trace()
@@ -335,42 +329,9 @@ class TestChannelView:
         trace, _ = self._trace()
         assert trace.probes[2] is trace.probes[2]
 
-    def test_staged_rows_return_the_live_object(self):
-        sink = ColumnarSink()
-        record = ProbeRecord(probe_id=9, sent_us=0)
-        sink.emit("probe", record, final=False)
-        trace = sink.result_trace()
-        assert trace.probes[0] is record  # still staged: same object
-        record.received_us = 777  # mutation visible pre-finalize
-        assert trace.probes[0].received_us == 777
-        sink.finalize(record)
-        sink.close()
-        assert trace.probes[0].received_us == 777
-
 
 class TestColumnReaders:
-    def test_columns_span_transposed_and_staged_rows(self):
-        sink = ColumnarSink()
-        records = [
-            ProbeRecord(probe_id=i, sent_us=i * 10,
-                        received_us=None if i % 3 else i * 10 + 5)
-            for i in range(TRANSPOSE_BATCH + 40)
-        ]
-        for record in records:
-            sink.emit("probe", record)
-        live = ProbeRecord(probe_id=-1, sent_us=0)
-        sink.emit("probe", live, final=False)
-        trace = sink.result_trace()
-        store = trace.stores["probe"]
-        assert 0 < store._base < store.rows  # both halves are present
-        live.received_us = 123  # a staged row reads its live state
-        records.append(live)
-        for name in ("probe_id", "sent_us", "received_us", "call_id"):
-            assert trace.probes.column(name) == [getattr(r, name) for r in records]
-        assert store._cache == {}  # no row was materialized
-
     def test_captures_at_reads_each_tap(self):
-        sink = ColumnarSink()
         packets = []
         for i, taps in enumerate([("sender", "core"), ("core", "sender"), (), ("receiver",)]):
             packet = PacketRecord(packet_id=i, flow_id="v", kind=MediaKind.VIDEO,
@@ -378,18 +339,15 @@ class TestColumnReaders:
             for k, tap in enumerate(taps):
                 packet.captures[tap] = 1_000 * i + k
             packets.append(packet)
-            sink.emit("packet", packet)
-        sink.close()
-        view = sink.result_trace().packets
+        view = _round_trip(Trace(packets=packets)).packets
         assert view.captures_at("sender") == [0, 1_001, None, None]
         assert view.captures_at("core") == [1, 1_000, None, None]
         assert view.captures_at("receiver") == [None, None, None, 3_000]
         assert view.captures_at("sfu") == [None] * 4
 
     def test_readers_survive_the_payload_round_trip(self):
-        col = _run(ScenarioConfig(seed=23, duration_s=1.0), ColumnarSink())
-        rebuilt = trace_from_payload(col.to_payload())
-        mem = _run(ScenarioConfig(seed=23, duration_s=1.0), InMemorySink(Trace()))
+        mem = _run(ScenarioConfig(seed=23, duration_s=1.0))
+        rebuilt = _round_trip(mem)
         _assert_column_readers_match(rebuilt, mem)
         assert all(store._cache == {} for store in rebuilt.stores.values())
 
@@ -402,9 +360,8 @@ def test_replay_trace_accepts_columnar_trace():
     from repro.core.streaming.operators import TbPacketCorrelator
     from repro.run import MONITORED_UE_ID
 
-    config = ScenarioConfig(seed=7, duration_s=1.0)
-    mem = _run(config, InMemorySink(Trace()))
-    col = _run(config, ColumnarSink())
+    mem = _run(ScenarioConfig(seed=7, duration_s=1.0))
+    col = _round_trip(mem)
     mem_result = replay_trace(mem, [TbPacketCorrelator(ue_id=MONITORED_UE_ID)])
     col_result = replay_trace(col, [TbPacketCorrelator(ue_id=MONITORED_UE_ID)])
     assert mem_result["correlation"].matches == col_result["correlation"].matches
