@@ -4,23 +4,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check check-full lint lint-cold lint-json lint-sarif lint-changed test claims smoke smoke-multicall smoke-cache perf perf-smoke
+.PHONY: check lint lint-json lint-sarif test claims smoke smoke-multicall smoke-cache perf perf-smoke
 
 check: lint test smoke
 
-# Everything `check` runs, but with the lint result cache disabled — what a
-# cold CI runner sees. Use before tagging a release or after editing rules.
-check-full: lint-cold test smoke
-
 lint:
-	$(PYTHON) -m repro.analysis --cache --jobs 0
-
-lint-cold:
-	$(PYTHON) -m repro.analysis --no-cache
-
-# Sub-second pre-commit pass: only files dirty vs git are reported.
-lint-changed:
-	$(PYTHON) -m repro.analysis --cache --changed-only
+	$(PYTHON) -m repro.analysis
 
 lint-json:
 	$(PYTHON) -m repro.analysis --format json --output lint-report.json

@@ -16,6 +16,12 @@ ATH003    Time/rate identifiers carry unit suffixes; no bare float literals
 ATH004    No float ``==``/``!=`` on simulation timestamps
 ATH005    No mutable default arguments
 ATH006    Scheduled callbacks go through the event queue API cleanly
+ATH007    Trace record lists are sink-managed: no ``trace.<records>.append``
+          outside the trace package
+ATH008    Lambdas scheduled inside loops bind loop state by value
+ATH009    Record indexes are keyed by call (``(call_id, packet_id)``), not
+          by a bare per-call id that collides across a multi-call cell
+ATH010    No per-record ``json.dumps``/``dataclasses.asdict`` inside loops
 ATH100    Unit tags flow consistently across assignments, calls, and returns
           (whole-program dataflow over the unit-suffix discipline)
 ATH101    Every ``sink.emit(channel, record)`` matches the trace schema:
@@ -26,7 +32,7 @@ ATH102    No two same-instant scheduled callbacks mutate shared state
 
 Findings can be suppressed per line with ``# athena-lint: disable=ATH00x``
 (comma-separate several ids, or use ``all``), per file with
-``# athena-lint: disable-file=ATH00x``, or grandfathered via a baseline file.
+``# athena-lint: disable-file=ATH00x``.
 
 Run it as ``athena-repro lint``, ``python -m repro.analysis``, or through the
 pytest gate in ``tests/test_lint_clean.py``.
@@ -34,7 +40,6 @@ pytest gate in ``tests/test_lint_clean.py``.
 
 from __future__ import annotations
 
-from .baseline import load_baseline, write_baseline
 from .config import LintConfig, load_config
 from .findings import Finding
 from .graph import ProjectGraph
@@ -53,11 +58,9 @@ __all__ = [
     "lint_project",
     "lint_source",
     "lint_sources",
-    "load_baseline",
     "load_config",
     "main",
     "project_rules",
     "render_sarif",
     "sarif_log",
-    "write_baseline",
 ]

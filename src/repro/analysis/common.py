@@ -10,11 +10,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
-def build_import_map(tree: ast.AST) -> Dict[str, str]:
+def build_import_map(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the dotted origin they were imported as.
+
+    ``nodes`` is every node of a tree (``ast.walk`` order).
 
     ``import numpy as np`` yields ``{"np": "numpy"}``;
     ``from datetime import datetime`` yields ``{"datetime": "datetime.datetime"}``.
@@ -22,7 +25,7 @@ def build_import_map(tree: ast.AST) -> Dict[str, str]:
     ``{"ms": "..sim.units.ms"}``) — callers match on suffixes for those.
     """
     imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -94,8 +97,6 @@ class LintContext:
     relpath: str  # posix, relative to the lint root
     tree: ast.Module
     source: str
-    lines: List[str] = field(default_factory=list)
-    imports: Dict[str, str] = field(default_factory=dict)
     options: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
@@ -106,21 +107,26 @@ class LintContext:
         options: Optional[Dict[str, object]] = None,
     ) -> "LintContext":
         """Parse ``source`` and assemble the context (raises SyntaxError)."""
-        tree = ast.parse(source)
         return cls(
             relpath=relpath,
-            tree=tree,
+            tree=ast.parse(source),
             source=source,
-            lines=source.splitlines(),
-            imports=build_import_map(tree),
             options=dict(options or {}),
         )
 
-    def line_text(self, lineno: int) -> str:
-        """Stripped source text of a 1-based line (baseline fingerprints)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order.
+
+        The per-file rules iterate this one list instead of each walking
+        the tree again.
+        """
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def imports(self) -> Dict[str, str]:
+        """The file's import map (see :func:`build_import_map`)."""
+        return build_import_map(self.nodes)
 
     def exempt(self, rule_id: str) -> bool:
         """True if this file is exempt from ``rule_id`` via config."""

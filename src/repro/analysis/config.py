@@ -8,7 +8,6 @@ it::
     [tool.athena-lint]
     paths = ["src", "examples"]
     exclude = ["src/repro/_vendored"]
-    baseline = "lint-baseline.json"
 
     [tool.athena-lint.rules.ATH002]
     exempt = ["sim/random.py"]
@@ -19,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 DEFAULT_PATHS = ["src", "examples"]
 DEFAULT_RULE_OPTIONS: Dict[str, Dict[str, object]] = {
@@ -40,7 +39,6 @@ class LintConfig:
     root: Path
     paths: List[str] = field(default_factory=lambda: list(DEFAULT_PATHS))
     exclude: List[str] = field(default_factory=list)
-    baseline: Optional[Path] = None
     rule_options: Dict[str, Dict[str, object]] = field(
         default_factory=lambda: {k: dict(v) for k, v in DEFAULT_RULE_OPTIONS.items()}
     )
@@ -76,8 +74,6 @@ def load_config(root: Path) -> LintConfig:
         config.paths = [str(p) for p in section["paths"]]
     if isinstance(section.get("exclude"), list):
         config.exclude = [str(p) for p in section["exclude"]]
-    if isinstance(section.get("baseline"), str):
-        config.baseline = root / section["baseline"]
     rules = section.get("rules")
     if isinstance(rules, dict):
         for rule_id, options in rules.items():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -16,14 +16,6 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-
-    def fingerprint(self, context: str) -> Tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching.
-
-        ``context`` is the stripped source line, so a finding keeps matching
-        its baseline entry when unrelated edits shift it up or down the file.
-        """
-        return (self.rule_id, self.path, context)
 
     def render(self) -> str:
         """Human-readable ``path:line:col: RULE message`` form."""

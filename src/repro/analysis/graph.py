@@ -1,6 +1,6 @@
 """Project-wide symbol and call graph for the whole-program rules.
 
-Per-file rules (ATH001–ATH009) see one ``ast.Module`` at a time; the v2
+Per-file rules (ATH001–ATH010) see one ``ast.Module`` at a time; the v2
 rules (ATH100–ATH102) need to answer questions that span files: *which
 function does this call resolve to, and what are its parameters?* *what
 record type does ``Trace.packets`` hold?* *where was ``new_packet_id``
@@ -94,18 +94,11 @@ class ModuleInfo:
     modname: str
     tree: ast.Module
     source: str
-    lines: List[str]
     is_package: bool = False
     imports: Dict[str, str] = field(default_factory=dict)  # local -> absolute dotted
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     constants: Dict[str, ast.expr] = field(default_factory=dict)  # top-level assigns
-
-    def line_text(self, lineno: int) -> str:
-        """Stripped source text of a 1-based line (baseline fingerprints)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
 
 def module_name_for(relpath: str) -> str:
@@ -291,7 +284,6 @@ class ProjectGraph:
             modname=modname,
             tree=tree,
             source=source,
-            lines=source.splitlines(),
             is_package=is_package,
             imports=_build_imports(tree, modname, is_package),
         )

@@ -2,7 +2,7 @@
 
 Two rule scopes coexist:
 
-* **file** rules (ATH001–ATH009) see one :class:`LintContext` at a time and
+* **file** rules (ATH001–ATH010) see one :class:`LintContext` at a time and
   implement :meth:`Rule.check`;
 * **project** rules (ATH100–ATH102) see the whole
   :class:`~repro.analysis.graph.ProjectGraph` and implement
@@ -106,11 +106,6 @@ def get_rule(rule_id: str) -> Rule:
 def all_rules() -> List[Rule]:
     """Instantiate every registered rule, ordered by id."""
     return [RULES[rule_id]() for rule_id in sorted(RULES)]
-
-
-def file_rules() -> List[Rule]:
-    """Instantiate the per-file rules, ordered by id."""
-    return [rule for rule in all_rules() if rule.scope == "file"]
 
 
 def project_rules() -> List[ProjectRule]:

@@ -1,4 +1,4 @@
-"""The ATH001–ATH011 (per-file) and ATH100–ATH102 (project) rules.
+"""The ATH001–ATH010 (per-file) and ATH100–ATH102 (project) rules.
 
 Importing this package registers every rule with :mod:`repro.analysis.registry`.
 """
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from . import (  # noqa: F401  (import for registration side effect)
     call_scope,
-    config_mutation,
     event_graph,
     float_eq,
     handlers,

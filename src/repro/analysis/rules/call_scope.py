@@ -78,7 +78,7 @@ class CallScopeRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             key = self._index_key(node)
             if key is None:
                 continue

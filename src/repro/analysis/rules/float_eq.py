@@ -72,7 +72,7 @@ class FloatTimestampEqualityRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

@@ -53,10 +53,12 @@ def _callback_arg(node: ast.Call) -> ast.expr:
     return None  # type: ignore[return-value]
 
 
-def _global_declaring_defs(tree: ast.Module) -> Dict[str, List[int]]:
+def _global_declaring_defs(nodes: List[ast.AST]) -> Dict[str, List[int]]:
     """Names of function defs that contain a ``global`` statement."""
     out: Dict[str, List[int]] = {}
-    for node in ast.walk(tree):
+    if not any(isinstance(node, ast.Global) for node in nodes):
+        return out
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if any(isinstance(s, ast.Global) for s in ast.walk(node)):
                 out.setdefault(node.name, []).append(node.lineno)
@@ -75,8 +77,8 @@ class HandlerHygieneRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):
             return
-        global_defs = _global_declaring_defs(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        global_defs = _global_declaring_defs(ctx.nodes)
+        for node in ctx.nodes:
             if not (isinstance(node, ast.Call) and _is_scheduling_call(node)):
                 continue
             cb = _callback_arg(node)

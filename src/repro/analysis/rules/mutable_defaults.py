@@ -59,7 +59,7 @@ class MutableDefaultRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

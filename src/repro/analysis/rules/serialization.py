@@ -57,7 +57,7 @@ class PerRecordSerializationRule(Rule):
         if ctx.exempt(self.id):
             return
         nearest_loop = _loop_parents(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             target = dotted_name(node.func, ctx.imports)

@@ -45,7 +45,7 @@ class TraceAppendRule(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

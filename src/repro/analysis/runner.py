@@ -3,36 +3,25 @@
 Exposed three ways — ``athena-repro lint``, ``python -m repro.analysis``, and
 :func:`lint_paths` for the pytest gate — all sharing this implementation.
 
-v2 runs two passes:
+One serial run makes two passes over the collected files:
 
-1. **per-file** rules (ATH001–ATH009) on each collected file, optionally in
-   a process pool and backed by the on-disk result cache;
-2. **whole-program** rules (ATH100–ATH102) on a :class:`ProjectGraph` built
-   from every collected file, cached against the hash of the full file set.
+1. **per-file** rules (ATH001–ATH010) on each file's
+   :class:`~repro.analysis.common.LintContext`;
+2. **whole-program** rules (ATH100–ATH102) on one :class:`ProjectGraph`
+   built from every file.
 
-``--changed-only`` narrows reporting to files dirty versus git (the
-pre-commit path); ``--format sarif`` / ``--sarif FILE`` emit GitHub
-code-scanning annotations.
+``--format sarif`` / ``--sarif FILE`` emit GitHub code-scanning annotations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import rules  # noqa: F401  (registers ATH001..ATH008, ATH100..ATH102)
-from .baseline import load_baseline, subtract_baseline, write_baseline
-from .cache import (
-    DEFAULT_CACHE_NAME,
-    ResultCache,
-    selection_digest,
-    source_digest,
-)
+from . import rules  # noqa: F401  (registers ATH001..ATH010, ATH100..ATH102)
 from .common import LintContext, path_matches
 from .config import LintConfig, load_config
 from .findings import Finding
@@ -45,16 +34,13 @@ from .suppress import parse_suppressions
 # still fails the gate with a file:line location.
 PARSE_ERROR_ID = "ATH000"
 
-#: Below this many uncached files a process pool costs more than it saves.
-PARALLEL_THRESHOLD = 48
-
 
 def lint_source(
     source: str,
     relpath: str = "<string>",
     rule_ids: Optional[Sequence[str]] = None,
     rule_options: Optional[dict] = None,
-) -> List[Tuple[Finding, str]]:
+) -> List[Finding]:
     """Lint one in-memory source blob with the per-file rules.
 
     This is the seam the rule unit tests drive with fixture snippets.
@@ -63,27 +49,28 @@ def lint_source(
     try:
         ctx = LintContext.from_source(source, relpath, rule_options)
     except SyntaxError as exc:
-        finding = Finding(
-            rule_id=PARSE_ERROR_ID,
-            path=relpath,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            message=f"file does not parse: {exc.msg}",
-        )
-        return [(finding, "")]
+        return [
+            Finding(
+                rule_id=PARSE_ERROR_ID,
+                path=relpath,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
     suppressions = parse_suppressions(source)
     selected = [
         rule
         for rule in all_rules()
         if rule.scope == "file" and (rule_ids is None or rule.id in rule_ids)
     ]
-    results: List[Tuple[Finding, str]] = []
-    for rule in selected:
-        for finding in rule.check(ctx):
-            if suppressions.is_suppressed(finding.rule_id, finding.line):
-                continue
-            results.append((finding, ctx.line_text(finding.line)))
-    results.sort(key=lambda fc: (fc[0].line, fc[0].col, fc[0].rule_id))
+    results = [
+        finding
+        for rule in selected
+        for finding in rule.check(ctx)
+        if not suppressions.is_suppressed(finding.rule_id, finding.line)
+    ]
+    results.sort(key=lambda f: (f.line, f.col, f.rule_id))
     return results
 
 
@@ -91,31 +78,31 @@ def lint_project(
     sources: Dict[str, str],
     rule_ids: Optional[Sequence[str]] = None,
     rule_options: Optional[dict] = None,
-) -> List[Tuple[Finding, str]]:
+) -> List[Finding]:
     """Run the whole-program rules over ``{relpath: source}``."""
-    graph = ProjectGraph.from_sources(sources)
     selected = [
         rule
         for rule in project_rules()
         if rule_ids is None or rule.id in rule_ids
     ]
-    results: List[Tuple[Finding, str]] = []
+    if not selected:
+        return []
+    graph = ProjectGraph.from_sources(sources)
+    results: List[Finding] = []
     suppression_memo: Dict[str, object] = {}
     for rule in selected:
         rule.configure(rule_options)
         for finding in rule.check_project(graph):
             module = graph.by_relpath.get(finding.path)
-            if module is None:
-                results.append((finding, ""))
-                continue
-            if finding.path not in suppression_memo:
-                suppression_memo[finding.path] = parse_suppressions(module.source)
-            if suppression_memo[finding.path].is_suppressed(  # type: ignore[attr-defined]
-                finding.rule_id, finding.line
-            ):
-                continue
-            results.append((finding, module.line_text(finding.line)))
-    results.sort(key=lambda fc: (fc[0].path, fc[0].line, fc[0].col, fc[0].rule_id))
+            if module is not None:
+                if finding.path not in suppression_memo:
+                    suppression_memo[finding.path] = parse_suppressions(module.source)
+                if suppression_memo[finding.path].is_suppressed(  # type: ignore[attr-defined]
+                    finding.rule_id, finding.line
+                ):
+                    continue
+            results.append(finding)
+    results.sort(key=_path_order)
     return results
 
 
@@ -123,16 +110,20 @@ def lint_sources(
     sources: Dict[str, str],
     rule_ids: Optional[Sequence[str]] = None,
     rule_options: Optional[dict] = None,
-) -> List[Tuple[Finding, str]]:
-    """Both passes over in-memory sources (the project-rule test seam)."""
-    results: List[Tuple[Finding, str]] = []
+) -> List[Finding]:
+    """Both passes over in-memory sources: each file, then the project."""
+    results: List[Finding] = []
     for relpath in sorted(sources):
         results.extend(
             lint_source(sources[relpath], relpath, rule_ids, rule_options)
         )
     results.extend(lint_project(sources, rule_ids, rule_options))
-    results.sort(key=lambda fc: (fc[0].path, fc[0].line, fc[0].col, fc[0].rule_id))
+    results.sort(key=_path_order)
     return results
+
+
+def _path_order(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule_id)
 
 
 def collect_files(config: LintConfig, paths: Sequence[str]) -> List[Path]:
@@ -154,158 +145,31 @@ def collect_files(config: LintConfig, paths: Sequence[str]) -> List[Path]:
     return files
 
 
-def changed_relpaths(root: Path) -> Optional[Set[str]]:
-    """Files dirty versus git (tracked diffs + untracked), or None if no git."""
-    def run_git(*args: str) -> Optional[List[str]]:
-        try:
-            proc = subprocess.run(
-                ["git", "-C", str(root), *args],
-                capture_output=True,
-                text=True,
-                timeout=15,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        if proc.returncode != 0:
-            return None
-        return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
-
-    diff = run_git("diff", "--name-only", "HEAD")
-    if diff is None:
-        return None
-    untracked = run_git("ls-files", "--others", "--exclude-standard") or []
-    return set(diff) | set(untracked)
-
-
-def _lint_file_task(
-    payload: Tuple[str, str, Optional[Sequence[str]], Optional[dict]],
-) -> Tuple[str, List[Tuple[Finding, str]]]:
-    """Process-pool worker: lint one file's source with the per-file rules."""
-    source, relpath, rule_ids, rule_options = payload
-    return relpath, lint_source(source, relpath, rule_ids, rule_options)
-
-
-def _resolve_jobs(jobs: Optional[int], pending: int) -> int:
-    if jobs is not None and jobs > 0:
-        return jobs
-    # Auto: parallelise only when enough uncached work amortises the forks.
-    if pending >= PARALLEL_THRESHOLD:
-        return min(8, os.cpu_count() or 1)
-    return 1
-
-
 def lint_paths(
     root: Path,
     paths: Optional[Sequence[str]] = None,
     rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
     config: Optional[LintConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    cache_path: Optional[Path] = None,
-    changed_only: bool = False,
-) -> Tuple[List[Tuple[Finding, str]], int]:
-    """Lint a tree; returns ``((finding, context) pairs, files scanned)``."""
+) -> Tuple[List[Finding], int]:
+    """Lint a tree; returns ``(findings, files scanned)``."""
     config = config or load_config(root)
-    files = collect_files(config, paths or config.paths)
-    sources: Dict[str, str] = {}
-    for path in files:
-        rel = path.relative_to(config.root).as_posix()
-        sources[rel] = path.read_text(encoding="utf-8")
-    relpaths = sorted(sources)
-
-    changed: Optional[Set[str]] = None
-    if changed_only:
-        changed = changed_relpaths(config.root)
-        if changed is not None and not changed & set(relpaths):
-            return [], 0
-
-    cache = ResultCache(cache_path) if cache_path is not None else None
-    selection = selection_digest(rule_ids, config.rule_options)
-    digests = {rel: source_digest(sources[rel]) for rel in relpaths}
-
-    file_targets = [
-        rel for rel in relpaths if changed is None or rel in changed
-    ]
-    results: List[Tuple[Finding, str]] = []
-    pending: List[str] = []
-    for rel in file_targets:
-        hit = (
-            cache.get_file(rel, digests[rel], selection)
-            if cache is not None
-            else None
-        )
-        if hit is not None:
-            results.extend(hit)
-        else:
-            pending.append(rel)
-
-    n_jobs = _resolve_jobs(jobs, len(pending))
-    if n_jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (sources[rel], rel, rule_ids, config.rule_options)
-            for rel in pending
-        ]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for rel, file_results in pool.map(
-                _lint_file_task, payloads, chunksize=8
-            ):
-                results.extend(file_results)
-                if cache is not None:
-                    cache.put_file(rel, digests[rel], selection, file_results)
-    else:
-        for rel in pending:
-            file_results = lint_source(
-                sources[rel], rel, rule_ids, config.rule_options
-            )
-            results.extend(file_results)
-            if cache is not None:
-                cache.put_file(rel, digests[rel], selection, file_results)
-
-    has_project_rules = any(
-        rule_ids is None or rule.id in rule_ids for rule in project_rules()
-    )
-    if has_project_rules:
-        project_results: Optional[List[Tuple[Finding, str]]] = None
-        project_key = ""
-        if cache is not None:
-            project_key = cache.project_key(sorted(digests.items()), selection)
-            project_results = cache.get_project(project_key)
-        if project_results is None:
-            project_results = lint_project(sources, rule_ids, config.rule_options)
-            if cache is not None:
-                cache.put_project(project_key, project_results)
-        if changed is not None:
-            project_results = [
-                (finding, context)
-                for finding, context in project_results
-                if finding.path in changed
-            ]
-        results.extend(project_results)
-
-    if cache is not None:
-        cache.prune(relpaths)
-        cache.save()
-
-    baseline_path = baseline_path or config.baseline
-    if baseline_path is not None and baseline_path.is_file():
-        results = subtract_baseline(results, load_baseline(baseline_path))
-    results.sort(key=lambda fc: (fc[0].path, fc[0].line, fc[0].col, fc[0].rule_id))
-    return results, len(file_targets)
+    sources = {
+        path.relative_to(config.root).as_posix(): path.read_text(encoding="utf-8")
+        for path in collect_files(config, paths or config.paths)
+    }
+    return lint_sources(sources, rule_ids, config.rule_options), len(sources)
 
 
-def _render_text(results: List[Tuple[Finding, str]], scanned: int) -> str:
-    lines = [finding.render() for finding, _ in results]
+def _render_text(results: List[Finding], scanned: int) -> str:
+    lines = [finding.render() for finding in results]
     noun = "finding" if len(results) == 1 else "findings"
     lines.append(f"{len(results)} {noun} in {scanned} files scanned")
     return "\n".join(lines)
 
 
-def _render_json(results: List[Tuple[Finding, str]], scanned: int) -> str:
+def _render_json(results: List[Finding], scanned: int) -> str:
     payload = {
-        "findings": [finding.to_json() for finding, _ in results],
+        "findings": [finding.to_json() for finding in results],
         "files_scanned": scanned,
         "rules": sorted(RULES),
     }
@@ -317,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="athena-lint",
         description="Static analysis enforcing simulator determinism and "
-        "unit-safety invariants (per-file rules ATH001-ATH009, "
+        "unit-safety invariants (per-file rules ATH001-ATH010, "
         "whole-program rules ATH100-ATH102).",
     )
     parser.add_argument("paths", nargs="*",
@@ -336,22 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", "--rule", dest="select", default=None,
                         metavar="IDS",
                         help="comma-separated rule ids to run (default: all)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write current findings as a baseline and exit 0")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for the per-file pass "
-                             "(0 = auto)")
-    parser.add_argument("--cache", nargs="?", const="", default=None,
-                        metavar="FILE",
-                        help="enable the on-disk result cache (default file: "
-                             f"<root>/{DEFAULT_CACHE_NAME})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache even if --cache given")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="only report findings in files dirty vs git "
-                             "(fast pre-commit path)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -383,23 +231,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"athena-lint: no such path(s): {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    baseline = Path(args.baseline) if args.baseline else None
-    cache_path: Optional[Path] = None
-    if args.cache is not None and not args.no_cache:
-        cache_path = Path(args.cache) if args.cache else root / DEFAULT_CACHE_NAME
     results, scanned = lint_paths(
-        root,
-        paths=args.paths or None,
-        rule_ids=rule_ids,
-        baseline_path=baseline,
-        jobs=args.jobs or None,
-        cache_path=cache_path,
-        changed_only=args.changed_only,
+        root, paths=args.paths or None, rule_ids=rule_ids
     )
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), results)
-        print(f"wrote {len(results)} findings to {args.write_baseline}")
-        return 0
     if args.format == "sarif":
         report = render_sarif(results)
     elif args.format == "json":

@@ -9,7 +9,7 @@ result per finding with a physical location.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .findings import Finding
 from .registry import all_rules
@@ -21,8 +21,8 @@ SARIF_SCHEMA = (
 )
 
 
-def sarif_log(results: List[Tuple[Finding, str]]) -> Dict[str, object]:
-    """Build the SARIF log object for a list of ``(finding, context)``."""
+def sarif_log(results: List[Finding]) -> Dict[str, object]:
+    """Build the SARIF log object for a list of findings."""
     rules = []
     for rule in all_rules():
         descriptor: Dict[str, object] = {
@@ -34,7 +34,7 @@ def sarif_log(results: List[Tuple[Finding, str]]) -> Dict[str, object]:
             descriptor["help"] = {"text": rule.hint}
         rules.append(descriptor)
     sarif_results = []
-    for finding, _context in results:
+    for finding in results:
         sarif_results.append(
             {
                 "ruleId": finding.rule_id,
@@ -77,6 +77,6 @@ def sarif_log(results: List[Tuple[Finding, str]]) -> Dict[str, object]:
     }
 
 
-def render_sarif(results: List[Tuple[Finding, str]]) -> str:
+def render_sarif(results: List[Finding]) -> str:
     """The SARIF log as an indented JSON string."""
     return json.dumps(sarif_log(results), indent=2)

@@ -3,8 +3,7 @@
 ``# athena-lint: disable=ATH003`` silences matching findings on its physical
 line (comma-separate several ids, or use ``all``).
 ``# athena-lint: disable-file=ATH003`` silences them for the whole file.
-Suppressions are for reviewed, justified exceptions; grandfathering an
-existing mess belongs in the baseline file instead.
+Suppressions are for reviewed, justified exceptions.
 """
 
 from __future__ import annotations

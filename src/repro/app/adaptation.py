@@ -20,7 +20,7 @@ from ..media.svc import FpsMode
 from ..sim.units import TimeUs, seconds
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptationConfig:
     """Thresholds of the frame-rate policy."""
 

@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     # whole argument vector; registered here only so -h lists it.
     sub.add_parser(
         "lint",
-        help="run athena-lint (determinism & unit-safety rules ATH001-ATH011)",
+        help="run athena-lint (determinism & unit-safety rules "
+             "ATH001-ATH010, ATH100-ATH102)",
         add_help=False,
     )
 

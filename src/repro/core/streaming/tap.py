@@ -140,10 +140,6 @@ class AnalysisTap(TraceSink):
     def result_trace(self):
         return self.inner.result_trace() if self.inner is not None else None
 
-    def open_record_count(self) -> int:
-        """Records emitted ``final=False`` and not yet finalized."""
-        return len(self._open)
-
     # -- delivery ------------------------------------------------------
     def _deliver(self, channel: str, record: object) -> None:
         subscribers = self._subscribers[channel]

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -199,13 +199,13 @@ def sweep_scheduler_policy(
         config = idle_cell_scenario(duration_s=duration_s, seed=seed, ran=ran,
                                     record_tbs=False)
         third = seconds(duration_s / 3)
-        config.cross_traffic = CrossTrafficConfig(
+        config = replace(config, cross_traffic=CrossTrafficConfig(
             phases=[
                 CrossTrafficPhase(0, 8_000.0),
                 CrossTrafficPhase(third, overload_mbps * 1_000),
                 CrossTrafficPhase(2 * third, 8_000.0),
             ]
-        )
+        ))
         labeled.append((policy, config))
     return _sweep(
         "requested-grant serving policy (overload)", labeled, jobs=jobs

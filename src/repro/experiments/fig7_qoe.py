@@ -74,14 +74,16 @@ def run_fig7(
         granted = result_5g.ran.mean_granted_kbps()
         nominal = result_5g.ran.nominal_ul_capacity_kbps()
         rate_kbps = granted if granted > 0 else nominal
-        config_emu = emulated_scenario(
-            duration_s=duration_s, seed=seed, rate_kbps=rate_kbps
-        )
         window = result_5g.ran.config.capacity_window_us
-        config_emu.emulated_capacity_series = [
-            (w.start_us, max(w.granted_kbps(window), 500.0))
-            for w in result_5g.ran.capacity_series()
-        ]
+        config_emu = emulated_scenario(
+            duration_s=duration_s,
+            seed=seed,
+            rate_kbps=rate_kbps,
+            emulated_capacity_series=[
+                (w.start_us, max(w.granted_kbps(window), 500.0))
+                for w in result_5g.ran.capacity_series()
+            ],
+        )
         result_emu = run_session(config_emu)
         return Fig7Result(
             qoe_5g=result_5g.qoe(),

@@ -79,14 +79,17 @@ def run_fig8(duration_s: float = 90.0, seed: int = 7) -> Fig8Result:
     past one second — the condition that flips Zoom into the persistent
     14 fps SVC layer set.
     """
-    config = saturating_scenario(duration_s=duration_s, seed=seed,
-                                 record_tbs=False)
     third = seconds(duration_s / 3)
-    config.channel_phases = [
-        (0, 20, 0.08),  # healthy: 64QAM, nominal BLER
-        (third, 2, 0.45),  # deep fade: QPSK, heavy retransmissions
-        (2 * third, 20, 0.08),  # recovered
-    ]
+    config = saturating_scenario(
+        duration_s=duration_s,
+        seed=seed,
+        record_tbs=False,
+        channel_phases=[
+            (0, 20, 0.08),  # healthy: 64QAM, nominal BLER
+            (third, 2, 0.45),  # deep fade: QPSK, heavy retransmissions
+            (2 * third, 20, 0.08),  # recovered
+        ],
+    )
     result = run_session(config)
     athena = AthenaSession(result.trace)
     series = athena.adaptation_timeseries()

@@ -105,9 +105,9 @@ def run_fig9a(duration_s: float = 20.0, seed: int = 7) -> Fig9aResult:
         seed=seed,
         fixed_bitrate_kbps=900.0,  # several packets per frame, as in the trace
         record_tbs=True,
+        # Isolate scheduling from HARQ.
+        ran=RanConfig(base_bler=0.0, retx_bler=0.0),
     )
-    config.ran.base_bler = 0.0  # isolate scheduling from HARQ
-    config.ran.retx_bler = 0.0
     result = cached_run_session(config)
     athena = AthenaSession(result.trace)
     start, end = _find_burst_window(athena)

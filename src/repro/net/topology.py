@@ -67,9 +67,16 @@ class EmulatedUplink:
         self.link.send(packet, on_core_arrival)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathConfig:
-    """Delay characteristics of everything beyond the access network."""
+    """Delay characteristics of everything beyond the access network.
+
+    Frozen like the rest of a :class:`~repro.run.scenario.ScenarioConfig`,
+    with one residual: ``clock_offsets_us`` stays a ``dict``.  A tuple of
+    pairs would change the scenario cache's pinned canonical form, and a
+    read-only mapping proxy does not pickle into the batch pool.  Nothing
+    writes to it after construction; treat it as read-only.
+    """
 
     wan_core_to_sfu_us: TimeUs = ms(10.0)
     wan_sfu_to_receiver_us: TimeUs = ms(10.0)

@@ -11,18 +11,20 @@ Defaults mirror the private small cell measured in the paper (§2, §3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..sim.units import TimeUs, ms
 
 
-@dataclass
+@dataclass(frozen=True)
 class RanConfig:
     """All tunables of the RAN simulator.
 
     The defaults reproduce the paper's cell; experiments override individual
     fields (e.g. disabling proactive grants, changing the TDD pattern, or
-    sweeping the HARQ failure probability).
+    sweeping the HARQ failure probability) by constructing with the value
+    or with :func:`dataclasses.replace` — the config is frozen.
     """
 
     # --- frame structure -------------------------------------------------
@@ -83,6 +85,8 @@ class RanConfig:
     def __post_init__(self) -> None:
         if self.slot_us <= 0:
             raise ValueError("slot_us must be positive")
+        if self.n_ul_prbs <= 0:
+            raise ValueError(f"n_ul_prbs must be positive: {self.n_ul_prbs}")
         if not self.fdd and "U" not in self.tdd_pattern.upper():
             raise ValueError(f"TDD pattern {self.tdd_pattern!r} has no uplink slot")
         if not 0.0 <= self.base_bler < 1.0:
@@ -111,7 +115,7 @@ class RanConfig:
         return self.slot_us * len(pattern) // pattern.count("U")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossTrafficPhase:
     """One constant-rate phase of the background load (Fig 3/4 uses
     five-minute phases at 0, 14, 16, and 18 Mbps)."""
@@ -124,17 +128,24 @@ class CrossTrafficPhase:
             raise ValueError("rate must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossTrafficConfig:
-    """Aggregate background traffic from competing mobiles in the cell."""
+    """Aggregate background traffic from competing mobiles in the cell.
+
+    Frozen; a list passed as ``phases`` is stored as a tuple.
+    """
 
     n_ues: int = 6
-    phases: list = field(default_factory=lambda: [CrossTrafficPhase(0, 0.0)])
+    phases: Tuple[CrossTrafficPhase, ...] = (CrossTrafficPhase(0, 0.0),)
     packet_bytes: int = 1_400
     # On/off burstiness: traffic is sent in bursts so the cell experiences
     # transient saturation even when the average rate is below capacity.
     burst_on_ms: float = 60.0
     burst_off_ms: float = 40.0
+
+    def __post_init__(self) -> None:
+        if isinstance(self.phases, list):
+            object.__setattr__(self, "phases", tuple(self.phases))
 
     def rate_at(self, time_us: TimeUs) -> float:
         """Aggregate offered rate_kbps (kbps) at ``time_us``."""

@@ -14,8 +14,7 @@ same derivation-keying discipline build systems use:
   with every per-call ``inherit`` resolved, enum/dataclass fields reduced to
   builtins, key order canonicalized — salted with :func:`code_version_token`
   (package version + a hash of the simulator source tree), so *any* code
-  change self-invalidates, mirroring ``analysis/cache.py``'s CACHE_VERSION
-  scheme;
+  change self-invalidates;
 * values are the ``ATHC2`` columnar trace payload plus a small pickled
   :class:`RunSummary` (per-call specs and live-diagnosis counts), stored
   one file per entry under ``.athena-cache/`` with a JSON index, a size

@@ -52,7 +52,16 @@ KNOWN_ESTIMATORS: Set[str] = {"gcc", "nada", "scream"}
 KNOWN_CHANNELS: Set[str] = {"fixed", "gauss_markov"}
 
 
-@dataclass
+def _lists_to_tuples(config: object, names: Tuple[str, ...]) -> None:
+    """Store any list passed for the ``names`` fields of a frozen config as
+    a tuple, so callers may keep passing lists."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, list):
+            object.__setattr__(config, name, tuple(value))
+
+
+@dataclass(frozen=True)
 class CallSpec:
     """One conferencing call hosted by the cell.
 
@@ -62,6 +71,10 @@ class CallSpec:
     range(N)]``.  ``start_media=False`` attaches the call's full endpoint
     stack without starting its clocks — a zero-demand peer occupying a UE
     context, used by the RNG/id-isolation determinism tests.
+
+    Frozen, like every config reachable from a :class:`ScenarioConfig`: the
+    scenario cache fingerprints a config when a run starts, so a variant is
+    made with :func:`dataclasses.replace`, never by assignment.
     """
 
     call_id: int = 0
@@ -70,7 +83,7 @@ class CallSpec:
     estimator: Optional[str] = None
     adaptation: Optional[AdaptationConfig] = None
     channel: Optional[str] = None
-    channel_phases: Optional[List[Tuple[TimeUs, int, float]]] = None
+    channel_phases: Optional[Tuple[Tuple[TimeUs, int, float], ...]] = None
     fixed_mode: Optional[FpsMode] = None
     fixed_bitrate_kbps: Optional[float] = None
     mask_ran_delay: Optional[bool] = None  # §5.3, per call
@@ -85,6 +98,9 @@ class CallSpec:
     #: Start the sender/receiver clocks (False = silent zero-demand peer).
     start_media: bool = True
 
+    def __post_init__(self) -> None:
+        _lists_to_tuples(self, ("channel_phases",))
+
     def resolved_ue_id(self) -> int:
         """The UE id this call attaches as."""
         return self.ue_id if self.ue_id is not None else MONITORED_UE_ID + self.call_id
@@ -95,9 +111,13 @@ class CallSpec:
         return getattr(config, name) if value is None else value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run.
+
+    Frozen, with tuples for its sequence fields (a passed list is stored as
+    a tuple): a variant is ``dataclasses.replace(config, ...)``.
+    """
 
     duration_s: float = 60.0
     seed: int = 7
@@ -110,10 +130,10 @@ class ScenarioConfig:
     emulated_latency_us: TimeUs = ms(15.0)
     # Optional (start_us, kbps) series replayed by the emulated shaper — the
     # paper's "capacity calculated from the physical transport block sizes".
-    emulated_capacity_series: Optional[List[Tuple[TimeUs, float]]] = None
+    emulated_capacity_series: Optional[Tuple[Tuple[TimeUs, float], ...]] = None
     # Scripted (start_us, mcs, bler) phases for the monitored UE's channel;
     # overrides ``channel`` when set (mobility episodes, Fig 8).
-    channel_phases: Optional[List[Tuple[TimeUs, int, float]]] = None
+    channel_phases: Optional[Tuple[Tuple[TimeUs, int, float], ...]] = None
     estimator: str = "gcc"  # "gcc" | "nada" | "scream" | registered kinds
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     fixed_mode: Optional[FpsMode] = None
@@ -135,12 +155,21 @@ class ScenarioConfig:
     #: Concurrent calls hosted by the cell.  ``None`` (the default) is the
     #: historical single-call session: one implicit call on
     #: ``MONITORED_UE_ID`` built from the scenario-level fields, with
-    #: byte-identical traces.  A list switches the builder to multi-call
+    #: byte-identical traces.  A sequence switches the builder to multi-call
     #: assembly: per-call endpoint stacks, id spaces, RNG streams, and
     #: call-tagged trace records.
-    calls: Optional[List[CallSpec]] = None
+    calls: Optional[Tuple[CallSpec, ...]] = None
 
     def __post_init__(self) -> None:
+        _lists_to_tuples(
+            self, ("calls", "channel_phases", "emulated_capacity_series")
+        )
+        if self.duration_s <= 0:
+            raise ValueError(f"duration_s must be positive: {self.duration_s}")
+        if self.jitter_buffer_beta < 0:
+            raise ValueError(
+                f"jitter_buffer_beta must be >= 0: {self.jitter_buffer_beta}"
+            )
         if self.access not in KNOWN_ACCESS:
             raise ValueError(f"unknown access type: {self.access}")
         if self.estimator not in KNOWN_ESTIMATORS:
@@ -182,6 +211,12 @@ class ScenarioConfig:
                 raise ValueError(
                     f"call {spec.call_id}: choose metadata OR learned "
                     "app-aware scheduling"
+                )
+            beta = spec.inherit(self, "jitter_buffer_beta")
+            if beta < 0:  # type: ignore[operator]
+                raise ValueError(
+                    f"call {spec.call_id}: jitter_buffer_beta must be >= 0: "
+                    f"{beta}"
                 )
 
     @property

@@ -1,4 +1,4 @@
-"""Whole-program pass tests: graph resolution, ATH100-ATH102, cache, CLI v2."""
+"""Whole-program pass tests: graph resolution, ATH100-ATH102, CLI v2."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, lint_sources, main
-from repro.analysis.cache import CACHE_VERSION, ResultCache, selection_digest
+from repro.analysis import lint_sources, main
 from repro.analysis.graph import ProjectGraph, module_name_for
-from repro.analysis.runner import changed_relpaths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -94,11 +92,11 @@ class TestProjectGraph:
 ])
 def test_fixture_trips_project_rule_at_expected_lines(fixture, rule_id, lines):
     results = _lint_fixture(fixture, rule_id)
-    found = [(f.rule_id, f.line) for f, _ in results]
+    found = [(f.rule_id, f.line) for f in results]
     assert found == [(rule_id, line) for line in lines]
-    for finding, context in results:
+    for finding in results:
         assert finding.path == fixture
-        assert finding.message and context
+        assert finding.message
 
 
 class TestUnitFlow:
@@ -111,7 +109,7 @@ class TestUnitFlow:
                 "    return send(rate_kbps)\n"
             ),
         }, rule_ids=["ATH100"])
-        assert [(f.rule_id, f.path, f.line) for f, _ in results] == [
+        assert [(f.rule_id, f.path, f.line) for f in results] == [
             ("ATH100", "src/m2.py", 4),
         ]
 
@@ -212,95 +210,6 @@ def _project(tmp_path: Path, files: dict) -> Path:
     return tmp_path
 
 
-class TestResultCache:
-    def test_warm_run_reuses_and_edit_invalidates(self, tmp_path):
-        root = _project(tmp_path, {"src/m.py": BAD_UNITS})
-        cache_path = tmp_path / "cache.json"
-        results, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert [f.rule_id for f, _ in results] == ["ATH100"]
-        assert cache_path.is_file()
-
-        from repro.analysis import load_config
-
-        warm = ResultCache(cache_path)
-        selection = selection_digest(None, load_config(root).rule_options)
-        # The per-file entry is present and keyed to the current content.
-        from repro.analysis.cache import source_digest
-        digest = source_digest(BAD_UNITS)
-        assert warm.get_file("src/m.py", digest, selection) is not None
-
-        results2, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert [(f.rule_id, f.line) for f, _ in results2] == [
-            (f.rule_id, f.line) for f, _ in results
-        ]
-        # Fixing the file must invalidate both cache levels.
-        (root / "src" / "m.py").write_text(
-            BAD_UNITS.replace("rate_kbps", "size_bytes"), encoding="utf-8"
-        )
-        results3, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert results3 == []
-
-    def test_new_file_invalidates_project_entry(self, tmp_path):
-        root = _project(tmp_path, {
-            "src/m1.py": "def take(depth_bytes):\n    return depth_bytes\n",
-        })
-        cache_path = tmp_path / "cache.json"
-        results, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert results == []
-        _project(tmp_path, {
-            "src/m2.py": (
-                "from m1 import take\n\n"
-                "def go(rate_kbps):\n"
-                "    return take(rate_kbps)\n"
-            ),
-        })
-        results2, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert [f.rule_id for f, _ in results2] == ["ATH100"]
-
-    def test_version_mismatch_discards_cache(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text(
-            json.dumps({"version": "stale", "files": {"x": {}}}),
-            encoding="utf-8",
-        )
-        cache = ResultCache(cache_path)
-        assert cache.get_file("x", "d", "s") is None
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        root = _project(tmp_path, {"src/m.py": BAD_UNITS})
-        results, _ = lint_paths(root, paths=["src"], cache_path=cache_path)
-        assert [f.rule_id for f, _ in results] == ["ATH100"]
-        assert json.loads(cache_path.read_text())["version"] == CACHE_VERSION
-
-
-class TestParallelAndChangedOnly:
-    def test_parallel_matches_serial(self, tmp_path):
-        files = {"src/m.py": BAD_UNITS}
-        for i in range(6):
-            files[f"src/c{i}.py"] = f"def f{i}(delay_us):\n    return delay_us\n"
-        root = _project(tmp_path, files)
-        serial, n1 = lint_paths(root, paths=["src"], jobs=1)
-        para, n2 = lint_paths(root, paths=["src"], jobs=2)
-        assert n1 == n2 == 7
-        assert [(f.rule_id, f.path, f.line) for f, _ in serial] == [
-            (f.rule_id, f.path, f.line) for f, _ in para
-        ]
-
-    def test_changed_only_without_git_falls_back_to_full(self, tmp_path):
-        root = _project(tmp_path, {"src/m.py": BAD_UNITS})
-        assert changed_relpaths(root) is None
-        results, _ = lint_paths(root, paths=["src"], changed_only=True)
-        assert [f.rule_id for f, _ in results] == ["ATH100"]
-
-    def test_changed_relpaths_sees_untracked_in_repo(self):
-        changed = changed_relpaths(REPO_ROOT)
-        if changed is None:
-            pytest.skip("git unavailable")
-        assert isinstance(changed, set)
-
-
 class TestCliV2:
     def test_rule_flag_fails_on_fixture_corpus(self, capsys):
         # Acceptance: `--rule ATH100` on the fixture corpus exits non-zero.
@@ -324,13 +233,6 @@ class TestCliV2:
         location = run["results"][0]["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == "src/m.py"
         assert json.loads(sarif_file.read_text(encoding="utf-8")) == log
-
-    def test_cache_flag_writes_default_cache(self, tmp_path, capsys):
-        root = _project(tmp_path, {"src/m.py": BAD_UNITS})
-        assert main(["--root", str(root), "--cache"]) == 1
-        capsys.readouterr()
-        assert (root / ".athena-lint-cache.json").is_file()
-        assert main(["--root", str(root), "--cache"]) == 1
 
     def test_analyzer_self_lints_clean(self, capsys):
         code = main(["src/repro/analysis", "--root", str(REPO_ROOT)])

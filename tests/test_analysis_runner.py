@@ -1,4 +1,4 @@
-"""Runner, baseline, config, and CLI-integration tests for athena-lint."""
+"""Runner, config, and CLI-integration tests for athena-lint."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 from repro.analysis import main
-from repro.analysis.baseline import load_baseline, subtract_baseline, write_baseline
 from repro.analysis.common import path_matches
 from repro.analysis.config import load_config
 from repro.analysis.runner import lint_paths
@@ -34,8 +33,8 @@ class TestLintPaths:
     def test_findings_carry_relative_paths(self, tmp_path):
         root = _project(tmp_path, {"src/bad.py": BAD})
         results, _ = lint_paths(root, paths=["src"])
-        assert [f.path for f, _ in results] == ["src/bad.py"]
-        assert results[0][0].rule_id == "ATH001"
+        assert [f.path for f in results] == ["src/bad.py"]
+        assert results[0].rule_id == "ATH001"
 
     def test_exclude_patterns(self, tmp_path):
         root = _project(tmp_path, {"src/bad.py": BAD})
@@ -43,29 +42,6 @@ class TestLintPaths:
         config.exclude = ["src/bad.py"]
         results, scanned = lint_paths(root, paths=["src"], config=config)
         assert results == [] and scanned == 0
-
-
-class TestBaseline:
-    def test_roundtrip_and_subtract(self, tmp_path):
-        root = _project(tmp_path, {"src/bad.py": BAD})
-        results, _ = lint_paths(root, paths=["src"])
-        assert len(results) == 1
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, results)
-        baseline = load_baseline(baseline_path)
-        assert subtract_baseline(results, baseline) == []
-        # Grandfathering survives the finding moving to another line.
-        moved = "# a new comment shifts everything down\n" + BAD
-        (root / "src" / "bad.py").write_text(moved, encoding="utf-8")
-        results, _ = lint_paths(root, paths=["src"], baseline_path=baseline_path)
-        assert results == []
-
-    def test_new_findings_not_masked(self, tmp_path):
-        root = _project(tmp_path, {"src/bad.py": BAD})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, [])
-        results, _ = lint_paths(root, paths=["src"], baseline_path=baseline_path)
-        assert len(results) == 1
 
 
 class TestConfig:
@@ -116,14 +92,6 @@ class TestCli:
         for rule_id in ("ATH001", "ATH002", "ATH003",
                         "ATH004", "ATH005", "ATH006"):
             assert rule_id in out
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = _project(tmp_path, {"src/bad.py": BAD})
-        baseline = tmp_path / "baseline.json"
-        assert main(["--root", str(root),
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main(["--root", str(root), "--baseline", str(baseline)]) == 0
 
     def test_athena_repro_lint_subcommand(self, tmp_path, capsys):
         root = _project(tmp_path, {"src/ok.py": CLEAN})

@@ -1,10 +1,17 @@
 """Tests for session assembly, the sender/receiver loop, and determinism."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from repro.app import ScenarioConfig, run_session
 from repro.media import FpsMode
+from repro.net.topology import PathConfig
+from repro.phy.params import CrossTrafficConfig, CrossTrafficPhase, RanConfig
+from repro.run.batch import RunSpec, run_batch
+from repro.run.cache import scenario_key
+from repro.run.scenario import CallSpec
 from repro.trace import CapturePoint, MediaKind
 
 
@@ -20,6 +27,111 @@ class TestConfigValidation:
     def test_both_aware_modes_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(aware_ran=True, aware_ran_learned=True)
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0])
+    def test_nonpositive_duration_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            ScenarioConfig(duration_s=duration_s)
+
+    def test_cell_without_uplink_prbs_rejected(self):
+        with pytest.raises(ValueError, match="n_ul_prbs"):
+            RanConfig(n_ul_prbs=0)
+
+    def test_negative_jitter_buffer_beta_rejected(self):
+        with pytest.raises(ValueError, match="jitter_buffer_beta"):
+            ScenarioConfig(jitter_buffer_beta=-1.0)
+
+    def test_negative_per_call_jitter_buffer_beta_rejected(self):
+        calls = [CallSpec(call_id=0), CallSpec(call_id=1, jitter_buffer_beta=-1.0)]
+        with pytest.raises(ValueError, match="call 1: jitter_buffer_beta"):
+            ScenarioConfig(calls=calls)
+
+
+def _collect_config(result):
+    return result.config
+
+
+class TestFrozenConfig:
+    """A config cannot change after the scenario cache fingerprinted it."""
+
+    def test_attribute_writes_raise(self):
+        config = ScenarioConfig(calls=[CallSpec(call_id=0)])
+        with pytest.raises(FrozenInstanceError):
+            config.seed = 8
+        assert config.seed == ScenarioConfig().seed
+
+    def test_writes_in_a_seed_loop_raise(self):
+        config = ScenarioConfig()
+        for seed in (1, 2):
+            with pytest.raises(FrozenInstanceError):
+                config.seed = seed
+        assert config.seed == ScenarioConfig().seed
+
+    def test_nested_field_writes_raise(self):
+        config = ScenarioConfig(calls=[CallSpec(call_id=0)])
+        with pytest.raises(FrozenInstanceError):
+            config.calls[0].start_media = False
+        with pytest.raises(FrozenInstanceError):
+            config.ran.base_bler = 0.0
+        assert config.calls[0].start_media == CallSpec(call_id=0).start_media
+
+    def test_sequence_fields_cannot_grow(self):
+        config = ScenarioConfig(
+            calls=[CallSpec(call_id=0)],
+            cross_traffic=CrossTrafficConfig(
+                phases=[CrossTrafficPhase(0, 1_000.0)]
+            ),
+        )
+        with pytest.raises(AttributeError):
+            config.calls.append(CallSpec(call_id=1))
+        with pytest.raises(AttributeError):
+            config.cross_traffic.phases.append(CrossTrafficPhase(10, 0.0))
+
+    def test_list_fields_stored_as_tuples_with_the_same_key(self):
+        listed = ScenarioConfig(
+            calls=[CallSpec(call_id=0), CallSpec(call_id=1)],
+            channel_phases=[(0, 20, 0.0)],
+            emulated_capacity_series=[(0, 5_000.0)],
+        )
+        tupled = ScenarioConfig(
+            calls=(CallSpec(call_id=0), CallSpec(call_id=1)),
+            channel_phases=((0, 20, 0.0),),
+            emulated_capacity_series=((0, 5_000.0),),
+        )
+        assert isinstance(listed.calls, tuple)
+        assert isinstance(listed.channel_phases, tuple)
+        assert isinstance(listed.emulated_capacity_series, tuple)
+        assert listed == tupled
+        assert scenario_key(listed) == scenario_key(tupled)
+
+    def test_replace_matches_direct_construction(self):
+        config = ScenarioConfig(seed=3)
+        variant = replace(config, ran=replace(config.ran, base_bler=0.0))
+        direct = ScenarioConfig(seed=3, ran=RanConfig(base_bler=0.0))
+        assert scenario_key(variant) == scenario_key(direct)
+        assert config.ran.base_bler == RanConfig().base_bler
+
+    def test_frozen_config_survives_the_batch_pool(self):
+        configs = [
+            ScenarioConfig(
+                duration_s=0.3,
+                seed=seed,
+                calls=[CallSpec(call_id=0), CallSpec(call_id=1)],
+                cross_traffic=CrossTrafficConfig(
+                    phases=[CrossTrafficPhase(0, 1_000.0)]
+                ),
+                path=PathConfig(clock_offsets_us={"sender": 120}),
+            )
+            for seed in (1, 2)
+        ]
+        specs = [RunSpec(f"seed{c.seed}", c) for c in configs]
+        runs = run_batch(specs, collect=_collect_config, jobs=2)
+        # Pickled to a worker and back: equal, but not the same objects.
+        assert [run.value for run in runs] == configs
+        assert all(run.value is not c for run, c in zip(runs, configs))
+        assert [scenario_key(run.value) for run in runs] == [
+            scenario_key(c) for c in configs
+        ]
 
 
 class TestBasicSession:
@@ -135,9 +247,11 @@ class TestChannelPhases:
     def test_phased_fade_raises_delay(self):
         from repro.sim import seconds
 
-        config = ScenarioConfig(duration_s=9.0, seed=4, record_tbs=False)
-        config.channel_phases = [(0, 20, 0.0), (seconds(3.0), 0, 0.6),
-                                 (seconds(6.0), 20, 0.0)]
+        config = ScenarioConfig(
+            duration_s=9.0, seed=4, record_tbs=False,
+            channel_phases=[(0, 20, 0.0), (seconds(3.0), 0, 0.6),
+                            (seconds(6.0), 20, 0.0)],
+        )
         result = run_session(config)
         owds_by_phase = {0: [], 1: [], 2: []}
         for p in result.trace.packets:

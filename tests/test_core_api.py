@@ -5,15 +5,15 @@ import pytest
 
 from repro.app import ScenarioConfig, run_session
 from repro.core import AthenaSession
+from repro.phy import RanConfig
 from repro.sim import ms, seconds
 from repro.trace import CapturePoint, TbKind
 
 
 @pytest.fixture(scope="module")
 def session():
-    config = ScenarioConfig(duration_s=10.0, seed=9, record_tbs=True)
-    config.ran.base_bler = 0.05
-    config.ran.retx_bler = 0.05
+    config = ScenarioConfig(duration_s=10.0, seed=9, record_tbs=True,
+                            ran=RanConfig(base_bler=0.05, retx_bler=0.05))
     return run_session(config)
 
 

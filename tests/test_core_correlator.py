@@ -4,6 +4,7 @@ clustering."""
 import pytest
 
 from repro.app import ScenarioConfig, run_session
+from repro.phy import RanConfig
 from repro.core import (
     clustering_accuracy,
     correlate_packets_to_frames,
@@ -20,9 +21,8 @@ from repro.trace import (
 
 
 def _session_trace():
-    config = ScenarioConfig(duration_s=6.0, seed=11, record_tbs=True)
-    config.ran.base_bler = 0.0
-    config.ran.retx_bler = 0.0
+    config = ScenarioConfig(duration_s=6.0, seed=11, record_tbs=True,
+                            ran=RanConfig(base_bler=0.0, retx_bler=0.0))
     return run_session(config).trace
 
 
@@ -34,9 +34,8 @@ class TestTbPacketInference:
         assert accuracy == pytest.approx(1.0)
 
     def test_inference_with_harq_still_accurate(self):
-        config = ScenarioConfig(duration_s=6.0, seed=11, record_tbs=True)
-        config.ran.base_bler = 0.15
-        config.ran.retx_bler = 0.15
+        config = ScenarioConfig(duration_s=6.0, seed=11, record_tbs=True,
+                                ran=RanConfig(base_bler=0.15, retx_bler=0.15))
         trace = run_session(config).trace
         result = correlate_tbs_to_packets(trace, ue_id=1)
         assert result.accuracy_against_ground_truth(trace) > 0.9

@@ -4,6 +4,7 @@ import pytest
 
 from repro.app import ScenarioConfig, run_session
 from repro.core import DelayCause, analyze_root_causes, packet_breakdown
+from repro.phy import RanConfig
 from repro.trace import (
     CapturePoint,
     MediaKind,
@@ -57,9 +58,8 @@ class TestPacketBreakdown:
 class TestEndToEndAttribution:
     def _report(self, bler, duration=8.0):
         config = ScenarioConfig(duration_s=duration, seed=5, record_tbs=True,
-                                fixed_bitrate_kbps=900.0)
-        config.ran.base_bler = bler
-        config.ran.retx_bler = bler
+                                fixed_bitrate_kbps=900.0,
+                                ran=RanConfig(base_bler=bler, retx_bler=bler))
         result = run_session(config)
         return analyze_root_causes(result.trace)
 

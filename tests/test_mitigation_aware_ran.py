@@ -75,9 +75,8 @@ class TestEndToEnd:
     def _frame_delays(self, **scenario_kwargs):
         config = ScenarioConfig(duration_s=10.0, seed=6,
                                 fixed_bitrate_kbps=900.0, record_tbs=False,
+                                ran=RanConfig(base_bler=0.0, retx_bler=0.0),
                                 **scenario_kwargs)
-        config.ran.base_bler = 0.0
-        config.ran.retx_bler = 0.0
         result = run_session(config)
         index = result.trace.packet_index()
         delays = []
@@ -110,9 +109,8 @@ class TestEndToEnd:
 
     def test_aware_ran_removes_spread(self):
         config = ScenarioConfig(duration_s=10.0, seed=6, aware_ran=True,
-                                fixed_bitrate_kbps=900.0, record_tbs=False)
-        config.ran.base_bler = 0.0
-        config.ran.retx_bler = 0.0
+                                fixed_bitrate_kbps=900.0, record_tbs=False,
+                                ran=RanConfig(base_bler=0.0, retx_bler=0.0))
         result = run_session(config)
         athena = AthenaSession(result.trace)
         spreads = athena.delay_spread_cdf(CapturePoint.CORE, stream="video")
@@ -136,9 +134,8 @@ class TestAwareRanUnderLoad:
         config = cross_traffic_scenario(
             duration_s=10.0, seed=6, phase_rates_mbps=(10.0,),
             fixed_bitrate_kbps=900.0, record_tbs=False, aware_ran=True,
+            ran=RanConfig(base_bler=0.0, retx_bler=0.0),
         )
-        config.ran.base_bler = 0.0
-        config.ran.retx_bler = 0.0
         result = run_session(config)
         assert result.advisor is not None
         assert result.advisor.grants_issued > 100

@@ -5,14 +5,13 @@ import pytest
 
 from repro.app import ScenarioConfig, run_session
 from repro.core import correlate_tbs_to_packets
-from repro.phy import SnifferConfig, sniff, sniffed_trace
+from repro.phy import RanConfig, SnifferConfig, sniff, sniffed_trace
 
 
 @pytest.fixture(scope="module")
 def session():
-    config = ScenarioConfig(duration_s=10.0, seed=17, record_tbs=True)
-    config.ran.base_bler = 0.05
-    config.ran.retx_bler = 0.05
+    config = ScenarioConfig(duration_s=10.0, seed=17, record_tbs=True,
+                            ran=RanConfig(base_bler=0.05, retx_bler=0.05))
     return run_session(config)
 
 
