@@ -39,7 +39,6 @@ class VcaReceiver:
         sim: Simulator,
         topology: CallTopology,
         frames_by_id: Dict[int, FrameRecord],
-        estimator: Optional[object] = None,
         feedback_interval_us: TimeUs = ms(100.0),
         mask_ran_delay: bool = False,
         jitter_buffer_margin_us: TimeUs = ms(10.0),
@@ -51,7 +50,7 @@ class VcaReceiver:
         self.topology = topology
         self.frames_by_id = frames_by_id
         self._ids = ids
-        self.estimator = estimator if estimator is not None else GccEstimator()
+        self.estimator = GccEstimator()
         self.feedback_interval_us = feedback_interval_us
         self.mask_ran_delay = mask_ran_delay
         #: When set, §5.3 masking reads RAN-induced delay from the shared

@@ -2,15 +2,15 @@
 
 Historically this module held the whole session-assembly monolith.  That
 logic now lives in :mod:`repro.run` — :class:`~repro.run.builder.SessionBuilder`
-composes the access network, call path, endpoints, and mitigations as
-pluggable stages — and this module re-exports the stable public surface so
-``from repro.app.session import ScenarioConfig, run_session`` keeps working
-unchanged.
+assembles the access network, call path, endpoints, and mitigations as one
+fixed pipeline of stages — and this module re-exports the stable public
+surface so ``from repro.app.session import ScenarioConfig, run_session``
+keeps working unchanged.
 """
 
 from __future__ import annotations
 
-from ..run.builder import SessionBuilder
+from ..run.builder import run_session
 from ..run.scenario import (
     MONITORED_UE_ID,
     ScenarioConfig,
@@ -23,11 +23,3 @@ __all__ = [
     "SessionResult",
     "run_session",
 ]
-
-
-def run_session(config: ScenarioConfig) -> SessionResult:
-    """Build, run, and return one complete call session.
-
-    Thin facade over :class:`~repro.run.builder.SessionBuilder`.
-    """
-    return SessionBuilder(config).run()

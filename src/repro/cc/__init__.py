@@ -1,9 +1,8 @@
-"""Congestion control: GCC (delay-gradient), NADA and SCReAM baselines."""
+"""Congestion control: GCC, the delay-gradient estimator the paper studies."""
 
 from .base import (
     BandwidthSignal,
     CcFeedback,
-    CongestionController,
     EstimatorHistory,
     EstimatorSample,
     PacketArrival,
@@ -17,25 +16,18 @@ from .gcc import (
     OveruseDetector,
     TrendlineFilter,
 )
-from .nada import NadaConfig, NadaEstimator
-from .scream import ScreamConfig, ScreamEstimator
 
 __all__ = [
     "AimdRateController",
     "BandwidthSignal",
     "CcFeedback",
-    "CongestionController",
     "EstimatorHistory",
     "EstimatorSample",
     "GccConfig",
     "GccEstimator",
     "LossBasedController",
-    "NadaConfig",
-    "NadaEstimator",
     "OveruseDetector",
     "PacketArrival",
     "RateControlState",
-    "ScreamConfig",
-    "ScreamEstimator",
     "TrendlineFilter",
 ]

@@ -1,10 +1,10 @@
-"""Congestion-control interfaces shared by GCC, NADA, and SCReAM."""
+"""Congestion-control data types: arrivals, feedback, and GCC diagnostics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Protocol
+from typing import List, Optional
 
 from ..sim.units import TimeUs
 
@@ -46,16 +46,6 @@ class CcFeedback:
     mean_owd_ms: float
     p95_owd_ms: float
     jitter_ms: float
-
-
-class CongestionController(Protocol):
-    """Receiver-side bandwidth estimator interface."""
-
-    def on_packet(self, arrival: PacketArrival) -> None:
-        """Feed one delivered packet."""
-
-    def estimated_rate_kbps(self) -> float:
-        """Current bandwidth estimate."""
 
 
 @dataclass

@@ -58,13 +58,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         access=args.access,
         cross_traffic=cross,
-        estimator=args.estimator,
         record_tbs=args.access == "5g",
         aware_ran=args.aware_ran,
         mask_ran_delay=args.mask_ran_delay,
     )
     print(f"Running {args.duration:.0f} s {args.access} session "
-          f"(seed {args.seed}, estimator {args.estimator}) ...")
+          f"(seed {args.seed}) ...")
     result = run_session(config)
     save_trace(result.trace, args.out)
     qoe = result.qoe().medians()
@@ -354,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration", type=float, default=20.0)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--access", choices=("5g", "emulated"), default="5g")
-    run.add_argument("--estimator", choices=("gcc", "nada", "scream"),
-                     default="gcc")
     run.add_argument("--cross-mbps", type=float, default=0.0,
                      help="constant cross-traffic load in Mbps")
     run.add_argument("--aware-ran", action="store_true",

@@ -76,7 +76,7 @@ def run_fig10(
     from ..trace.schema import CapturePoint
 
     config = idle_cell_scenario(
-        duration_s=duration_s, seed=seed, estimator="gcc", record_tbs=False
+        duration_s=duration_s, seed=seed, record_tbs=False
     )
     result = run_session(config)
     if not per_packet:

@@ -1,8 +1,9 @@
-"""Composable scenario runner: builder stages, registries, batch executor.
+"""Scenario runner: session builder, scenario cache, batch executor.
 
-The assembly logic of :func:`repro.app.session.run_session` lives here as
-pluggable stages (:mod:`repro.run.builder`), with the scenario/result data
-contract in :mod:`repro.run.scenario` and multi-process sweep execution in
+The assembly logic of :func:`run_session` lives here as one fixed pipeline
+of stages (:mod:`repro.run.builder`), with the scenario/result data
+contract in :mod:`repro.run.scenario`, the content-addressed result cache
+in :mod:`repro.run.cache` and multi-process sweep execution in
 :mod:`repro.run.batch`.
 """
 
@@ -28,23 +29,15 @@ from .cache import (
     scenario_fingerprint,
 )
 from .builder import (
-    DEFAULT_PIPELINE,
     CallContext,
     SessionBuilder,
     SessionContext,
     make_channel,
-    make_estimator,
-    register_access,
-    register_analysis,
-    register_channel,
-    register_estimator,
-    register_stage,
     run_session,
 )
 from .scenario import (
     KNOWN_ACCESS,
     KNOWN_CHANNELS,
-    KNOWN_ESTIMATORS,
     MONITORED_UE_ID,
     CallResult,
     CallSpec,
@@ -59,10 +52,8 @@ __all__ = [
     "CallContext",
     "CallResult",
     "CallSpec",
-    "DEFAULT_PIPELINE",
     "KNOWN_ACCESS",
     "KNOWN_CHANNELS",
-    "KNOWN_ESTIMATORS",
     "DEFAULT_CACHE_DIR",
     "MONITORED_UE_ID",
     "RunSpec",
@@ -80,12 +71,6 @@ __all__ = [
     "collect_trace_payload",
     "scenario_fingerprint",
     "make_channel",
-    "make_estimator",
-    "register_access",
-    "register_analysis",
-    "register_channel",
-    "register_estimator",
-    "register_stage",
     "run_batch",
     "run_batch_traces",
     "run_session",

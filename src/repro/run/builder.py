@@ -1,27 +1,17 @@
-"""Composable session assembly: :func:`run_session` decomposed into stages.
+"""Session assembly: :func:`run_session` as one fixed pipeline of stages.
 
-The historical ``run_session`` was one 150-line monolith; experiments that
-wanted a variant (a different access network, an extra estimator, one more
-mitigation) had to copy it.  :class:`SessionBuilder` splits the assembly
-into small named *stages* run in a fixed pipeline order::
+:class:`SessionBuilder` assembles a session from five small stages, run in
+this order::
 
     analysis    — the live streaming-analytics tap (when enabled)
     access      — the access network (5G RAN or emulated shaper)
     path        — the WAN/SFU call topology and its telemetry sink
-    endpoints   — the VCA sender and receiver
+    endpoints   — the VCA sender and receiver (GCC bandwidth estimation)
     mitigations — the §5.2 application-aware scheduling hooks
 
-Each stage reads and extends a :class:`SessionContext`.  Five registries
-make the assembly extensible without editing this module:
-
-* :func:`register_stage` — replace or add a pipeline stage;
-* :func:`register_access` — add an access-network kind (extends
-  :data:`~repro.run.scenario.KNOWN_ACCESS` so configs validate);
-* :func:`register_channel` — add a radio-channel kind (extends
-  :data:`~repro.run.scenario.KNOWN_CHANNELS`);
-* :func:`register_estimator` — add a bandwidth-estimator kind;
-* :func:`register_analysis` — add a streaming operator to the live
-  analysis tap (``config.live_analysis``).
+Each stage reads and extends a :class:`SessionContext`.  Callers that need
+the assembled but unstarted session (to drive the simulator themselves)
+use :meth:`SessionBuilder.build` and :meth:`SessionBuilder.start`.
 
 **Multi-call cells.**  A :class:`~repro.run.scenario.ScenarioConfig` with a
 ``calls`` list hosts N concurrent conferences in one cell: every stage
@@ -49,14 +39,11 @@ executor (:mod:`repro.run.batch`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import List, Optional
 
 from ..app.adaptation import ZoomAdaptationPolicy
 from ..app.receiver import VcaReceiver
 from ..app.sender import VcaSender
-from ..cc.gcc import GccEstimator
-from ..cc.nada import NadaEstimator
-from ..cc.scream import ScreamEstimator
 from ..core.streaming.live import LiveDiagnosis
 from ..core.streaming.operators import (
     FrameClusterOperator,
@@ -79,24 +66,7 @@ from ..sim.units import ms, seconds
 from ..trace.bus import InMemorySink, TraceSink
 from ..trace.ids import IdSpace, use_id_space
 from ..trace.schema import Trace
-from .scenario import (
-    KNOWN_ACCESS,
-    KNOWN_CHANNELS,
-    KNOWN_ESTIMATORS,
-    CallResult,
-    CallSpec,
-    ScenarioConfig,
-    SessionResult,
-)
-
-#: Stage names executed by default, in order.  Order matters: the simulator
-#: breaks event-time ties by insertion order, so reordering stages changes
-#: the run (and would break trace reproducibility against older versions).
-#: The ``analysis`` stage runs first because it may wrap ``ctx.sink`` in an
-#: :class:`~repro.core.streaming.tap.AnalysisTap` that every later stage
-#: must capture; it registers no simulator events, so prepending it keeps
-#: traces byte-identical to the four-stage pipeline.
-DEFAULT_PIPELINE = ("analysis", "access", "path", "endpoints", "mitigations")
+from .scenario import CallResult, CallSpec, ScenarioConfig, SessionResult
 
 
 @dataclass
@@ -127,9 +97,7 @@ class SessionContext:
     """Mutable state threaded through the pipeline stages.
 
     ``calls`` always holds one :class:`CallContext` per call — a single
-    element for the historical single-call session.  The flat
-    ``uplink``/``topology``/``sender``/… fields mirror call 0 so custom
-    stages written against the single-call context keep working.
+    element for the historical single-call session.
     """
 
     config: ScenarioConfig
@@ -138,19 +106,10 @@ class SessionContext:
     sink: TraceSink
     calls: List[CallContext] = field(default_factory=list)
     ran: Optional[RanSimulator] = None
-    uplink: Optional[object] = None
-    topology: Optional[CallTopology] = None
-    sender: Optional[VcaSender] = None
-    receiver: Optional[VcaReceiver] = None
-    advisor: Optional[AppAwareAdvisor] = None
-    predictor: Optional[PeriodicityPredictor] = None
     #: Shared SFU node fan-out; only set for multi-call cells.
     fanout: Optional[SfuFanout] = None
     #: Set by the ``analysis`` stage when ``config.live_analysis`` is on.
     analysis_tap: Optional[AnalysisTap] = None
-    diagnosis: Optional[LiveDiagnosis] = None
-    #: Scratch space for custom stages (never read by the built-ins).
-    extras: Dict[str, object] = field(default_factory=dict)
 
     @property
     def multicall(self) -> bool:
@@ -170,141 +129,62 @@ class SessionContext:
         return self.rngs.stream(f"call{call.spec.call_id}.{base}")
 
 
-StageFn = Callable[[SessionContext], None]
-AccessFactory = Callable[[SessionContext], None]
-ChannelFactory = Callable[[SessionContext, CallContext], object]
-EstimatorFactory = Callable[[], object]
-#: Returns a StreamOperator for the live tap, or None to opt out for this
-#: config (e.g. the TB correlator when TB telemetry is off).
-AnalysisFactory = Callable[[SessionContext, CallContext], Optional[object]]
-
-STAGES: Dict[str, StageFn] = {}
-ACCESS_FACTORIES: Dict[str, AccessFactory] = {}
-CHANNEL_FACTORIES: Dict[str, ChannelFactory] = {}
-ESTIMATOR_FACTORIES: Dict[str, EstimatorFactory] = {}
-ANALYSIS_FACTORIES: Dict[str, AnalysisFactory] = {}
-
-
-def register_stage(name: str) -> Callable[[StageFn], StageFn]:
-    """Register (or replace) a pipeline stage under ``name``."""
-
-    def deco(fn: StageFn) -> StageFn:
-        STAGES[name] = fn
-        return fn
-
-    return deco
-
-
-def register_access(name: str) -> Callable[[AccessFactory], AccessFactory]:
-    """Register an access-network factory; configs may then use the kind."""
-
-    def deco(fn: AccessFactory) -> AccessFactory:
-        ACCESS_FACTORIES[name] = fn
-        KNOWN_ACCESS.add(name)
-        return fn
-
-    return deco
-
-
-def register_channel(name: str) -> Callable[[ChannelFactory], ChannelFactory]:
-    """Register a radio-channel factory; configs may then use the kind.
-
-    The factory receives the session context and the call being attached,
-    so per-call channels can draw from call-scoped RNG streams (the
-    built-in Gauss-Markov channel uses ``channel.ue<ue_id>``).
-    """
-
-    def deco(fn: ChannelFactory) -> ChannelFactory:
-        CHANNEL_FACTORIES[name] = fn
-        KNOWN_CHANNELS.add(name)
-        return fn
-
-    return deco
-
-
-def register_estimator(
-    name: str,
-) -> Callable[[EstimatorFactory], EstimatorFactory]:
-    """Register a bandwidth-estimator factory under ``name``."""
-
-    def deco(fn: EstimatorFactory) -> EstimatorFactory:
-        ESTIMATOR_FACTORIES[name] = fn
-        KNOWN_ESTIMATORS.add(name)
-        return fn
-
-    return deco
-
-
-def register_analysis(
-    name: str,
-) -> Callable[[AnalysisFactory], AnalysisFactory]:
-    """Register a streaming-operator factory for the live analysis tap.
-
-    When ``config.live_analysis`` is on, the ``analysis`` stage calls every
-    registered factory once per call with ``(ctx, call)`` —
-    ``call.diagnosis`` is already set — and attaches the returned operators
-    to an :class:`~repro.core.streaming.tap.AnalysisTap` wrapping the
-    session sink.  In a multi-call cell each operator is wrapped in a
-    :class:`~repro.core.streaming.scoped.CallScopedOperator` so it sees
-    only its call's slice of the merged stream.  A factory may return
-    ``None`` to opt out for this config.
-    """
-
-    def deco(fn: AnalysisFactory) -> AnalysisFactory:
-        ANALYSIS_FACTORIES[name] = fn
-        return fn
-
-    return deco
-
-
-def make_estimator(kind: str) -> object:
-    """Instantiate the bandwidth estimator registered under ``kind``."""
-    try:
-        factory = ESTIMATOR_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown estimator: {kind}") from None
-    return factory()
-
-
-register_estimator("gcc")(GccEstimator)
-register_estimator("nada")(NadaEstimator)
-register_estimator("scream")(ScreamEstimator)
-
-
-# ----------------------------------------------------------------------
-# Radio-channel factories
-# ----------------------------------------------------------------------
-@register_channel("fixed")
-def _channel_fixed(ctx: SessionContext, call: CallContext) -> object:
-    return FixedChannel(ctx.config.ran.default_mcs, ctx.config.ran.base_bler)
-
-
-@register_channel("gauss_markov")
-def _channel_gauss_markov(ctx: SessionContext, call: CallContext) -> object:
-    return GaussMarkovChannel(
-        ctx.rngs.stream(f"channel.ue{call.ue_id}"),
-        target_bler=ctx.config.ran.base_bler,
-    )
-
-
 def make_channel(ctx: SessionContext, call: CallContext) -> object:
-    """Build one call's radio channel from its (inherited) spec."""
+    """Build one call's radio channel from its (inherited) spec.
+
+    Scripted ``channel_phases`` win over the named model; the Gauss-Markov
+    channel draws from the UE-scoped stream ``channel.ue<ue_id>``.
+    """
     phases = call.spec.inherit(ctx.config, "channel_phases")
     if phases is not None:
         return PhasedChannel(phases)
-    kind = call.spec.inherit(ctx.config, "channel")
-    try:
-        factory = CHANNEL_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind: {kind}") from None
-    return factory(ctx, call)
+    ran = ctx.config.ran
+    if call.spec.inherit(ctx.config, "channel") == "gauss_markov":
+        return GaussMarkovChannel(
+            ctx.rngs.stream(f"channel.ue{call.ue_id}"),
+            target_bler=ran.base_bler,
+        )
+    return FixedChannel(ran.default_mcs, ran.base_bler)
 
 
 # ----------------------------------------------------------------------
-# Access-network factories
+# Pipeline stages
 # ----------------------------------------------------------------------
-@register_access("5g")
-def _access_5g(ctx: SessionContext) -> None:
+def _stage_analysis(ctx: SessionContext) -> None:
+    config = ctx.config
+    if not config.live_analysis:
+        return
+    # Operator order is tap delivery order: root causes, clusters, then the
+    # TB correlator (only where there is TB telemetry to correlate against).
+    operators = []
+    for call in ctx.calls:
+        diagnosis = call.diagnosis = LiveDiagnosis()
+        call_ops: List[object] = [
+            RootCauseOperator(
+                retain_results=False,
+                on_breakdown=diagnosis.on_breakdown,
+                on_diagnosis=diagnosis.on_diagnosis,
+            ),
+            FrameClusterOperator(
+                retain_results=False, on_cluster=diagnosis.on_cluster
+            ),
+        ]
+        if config.access == "5g" and call.spec.inherit(config, "record_tbs"):
+            call_ops.append(TbPacketCorrelator(call.ue_id, retain_results=False))
+        if ctx.multicall:
+            call_ops = [
+                CallScopedOperator(op, call.spec.call_id, call.ue_id)
+                for op in call_ops
+            ]
+        operators.extend(call_ops)
+    tap = AnalysisTap(operators, inner=ctx.sink)
+    ctx.analysis_tap = tap
+    # Later stages (RAN, topology, endpoints) capture ctx.sink at build
+    # time, so every telemetry record now flows through the tap.
+    ctx.sink = tap
+
+
+def _stage_access_5g(ctx: SessionContext) -> None:
     config = ctx.config
     ran = RanSimulator(
         ctx.sim,
@@ -334,11 +214,9 @@ def _access_5g(ctx: SessionContext) -> None:
             first_ue_id=config.cross_traffic_first_ue_id(),
         )
     ctx.ran = ran
-    ctx.uplink = ctx.calls[0].uplink
 
 
-@register_access("emulated")
-def _access_emulated(ctx: SessionContext) -> None:
+def _stage_access_emulated(ctx: SessionContext) -> None:
     config = ctx.config
     rate_kbps = config.emulated_rate_kbps
     if rate_kbps <= 0 and config.emulated_capacity_series is None:
@@ -355,79 +233,8 @@ def _access_emulated(ctx: SessionContext) -> None:
     )
     for call in ctx.calls:
         call.uplink = EmulatedUplink(link)
-    ctx.uplink = ctx.calls[0].uplink
 
 
-# ----------------------------------------------------------------------
-# Built-in live-analysis operators
-# ----------------------------------------------------------------------
-@register_analysis("root_causes")
-def _analysis_root_causes(
-    ctx: SessionContext, call: CallContext
-) -> Optional[object]:
-    assert call.diagnosis is not None
-    return RootCauseOperator(
-        retain_results=False,
-        on_breakdown=call.diagnosis.on_breakdown,
-        on_diagnosis=call.diagnosis.on_diagnosis,
-    )
-
-
-@register_analysis("clusters")
-def _analysis_clusters(
-    ctx: SessionContext, call: CallContext
-) -> Optional[object]:
-    assert call.diagnosis is not None
-    return FrameClusterOperator(
-        retain_results=False, on_cluster=call.diagnosis.on_cluster
-    )
-
-
-@register_analysis("correlation")
-def _analysis_correlation(
-    ctx: SessionContext, call: CallContext
-) -> Optional[object]:
-    config = ctx.config
-    if config.access != "5g" or not call.spec.inherit(config, "record_tbs"):
-        return None  # no TB telemetry to correlate against
-    return TbPacketCorrelator(call.ue_id, retain_results=False)
-
-
-# ----------------------------------------------------------------------
-# Pipeline stages
-# ----------------------------------------------------------------------
-@register_stage("analysis")
-def _stage_analysis(ctx: SessionContext) -> None:
-    if not ctx.config.live_analysis:
-        return
-    operators = []
-    for call in ctx.calls:
-        call.diagnosis = LiveDiagnosis()
-        for factory in ANALYSIS_FACTORIES.values():
-            op = factory(ctx, call)
-            if op is None:
-                continue
-            if ctx.multicall:
-                op = CallScopedOperator(op, call.spec.call_id, call.ue_id)
-            operators.append(op)
-    ctx.diagnosis = ctx.calls[0].diagnosis
-    tap = AnalysisTap(operators, inner=ctx.sink)
-    ctx.analysis_tap = tap
-    # Later stages (RAN, topology, endpoints) capture ctx.sink at build
-    # time, so every telemetry record now flows through the tap.
-    ctx.sink = tap
-
-
-@register_stage("access")
-def _stage_access(ctx: SessionContext) -> None:
-    try:
-        factory = ACCESS_FACTORIES[ctx.config.access]
-    except KeyError:
-        raise ValueError(f"unknown access type: {ctx.config.access}") from None
-    factory(ctx)
-
-
-@register_stage("path")
 def _stage_path(ctx: SessionContext) -> None:
     config = ctx.config
     if ctx.multicall:
@@ -449,10 +256,8 @@ def _stage_path(ctx: SessionContext) -> None:
         if ctx.fanout is not None:
             ctx.fanout.attach(topology)
         call.topology = topology
-    ctx.topology = ctx.calls[0].topology
 
 
-@register_stage("endpoints")
 def _stage_endpoints(ctx: SessionContext) -> None:
     config = ctx.config
     for call in ctx.calls:
@@ -472,7 +277,6 @@ def _stage_endpoints(ctx: SessionContext) -> None:
             ctx.sim,
             call.topology,
             sender.frames_by_id,
-            estimator=make_estimator(spec.inherit(config, "estimator")),
             mask_ran_delay=spec.inherit(config, "mask_ran_delay"),
             jitter_buffer_margin_us=ms(
                 spec.inherit(config, "jitter_buffer_margin_ms")
@@ -483,8 +287,6 @@ def _stage_endpoints(ctx: SessionContext) -> None:
         )
         call.sender = sender
         call.receiver = receiver
-    ctx.sender = ctx.calls[0].sender
-    ctx.receiver = ctx.calls[0].receiver
 
 
 def _register_metadata_refresh(
@@ -505,7 +307,6 @@ def _register_metadata_refresh(
     sim.every(ms(100.0), refresh_from_app)
 
 
-@register_stage("mitigations")
 def _stage_mitigations(ctx: SessionContext) -> None:
     config = ctx.config
     ran, sim = ctx.ran, ctx.sim
@@ -567,8 +368,6 @@ def _stage_mitigations(ctx: SessionContext) -> None:
         else:
             assert call.sender is not None
             _register_metadata_refresh(sim, call.sender, schedule)
-    ctx.advisor = ctx.calls[0].advisor
-    ctx.predictor = ctx.calls[0].predictor
 
 
 # ----------------------------------------------------------------------
@@ -580,22 +379,16 @@ class SessionBuilder:
     ``SessionBuilder(config).run()`` is exactly ``run_session``.  Pass
     ``sink`` to see the telemetry on its way in (e.g. an
     :class:`~repro.core.streaming.tap.AnalysisTap` wrapping an
-    :class:`~repro.trace.bus.InMemorySink`) and ``pipeline`` to reorder,
-    drop, or extend stages.
+    :class:`~repro.trace.bus.InMemorySink`).
     """
 
     def __init__(
         self,
         config: ScenarioConfig,
         sink: Optional[TraceSink] = None,
-        pipeline: Iterable[str] = DEFAULT_PIPELINE,
     ) -> None:
         self.config = config
         self.sink = sink if sink is not None else InMemorySink(Trace())
-        self.pipeline = tuple(pipeline)
-        unknown = [name for name in self.pipeline if name not in STAGES]
-        if unknown:
-            raise ValueError(f"unknown pipeline stages: {unknown}")
         #: Session-wide id allocation (RAN TBs/grants, cross traffic);
         #: fresh ids regardless of prior runs.  Multi-call cells give each
         #: call an additional private IdSpace for its endpoint records.
@@ -603,7 +396,7 @@ class SessionBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> SessionContext:
-        """Run the pipeline stages; return the assembled (unstarted) session.
+        """Run the five stages; return the assembled (unstarted) session.
 
         Callers that drive the simulator themselves should wrap the build
         *and* the run in ``use_id_space(builder.id_space)`` — :meth:`run`
@@ -614,7 +407,6 @@ class SessionBuilder:
             "access": config.access,
             "duration_s": config.duration_s,
             "seed": config.seed,
-            "estimator": config.estimator,
         }
         if config.multicall:
             metadata["n_calls"] = len(config.effective_calls())
@@ -633,8 +425,20 @@ class SessionBuilder:
             )
             for spec in config.effective_calls()
         ]
-        for name in self.pipeline:
-            STAGES[name](ctx)
+        # Order matters: the simulator breaks event-time ties by insertion
+        # order, so reordering stages changes the run (and would break
+        # trace reproducibility against older versions).  The analysis
+        # stage runs first because it may wrap ``ctx.sink`` in an
+        # AnalysisTap that every later stage must capture; it registers no
+        # simulator events, so it leaves the trace byte-identical.
+        _stage_analysis(ctx)
+        if config.access == "5g":
+            _stage_access_5g(ctx)
+        else:
+            _stage_access_emulated(ctx)
+        _stage_path(ctx)
+        _stage_endpoints(ctx)
+        _stage_mitigations(ctx)
         return ctx
 
     def start(self, ctx: SessionContext) -> None:

@@ -81,7 +81,7 @@ SOURCE_PACKAGES = (
 #: resolved through :meth:`CallSpec.inherit` before hashing so a bare
 #: ``CallSpec()`` and an explicitly-spelled equivalent fingerprint alike.
 _INHERITED_CALL_FIELDS = (
-    "estimator", "adaptation", "channel", "channel_phases", "fixed_mode",
+    "adaptation", "channel", "channel_phases", "fixed_mode",
     "fixed_bitrate_kbps", "mask_ran_delay", "aware_ran", "aware_ran_learned",
     "jitter_buffer_margin_ms", "jitter_buffer_beta", "record_tbs",
     "start_prober",

@@ -8,16 +8,15 @@ runner (:mod:`repro.run.builder`) and the batch executor
 (:mod:`repro.run.batch`) can use them without importing the monolithic
 session module.
 
-``KNOWN_ACCESS`` and ``KNOWN_ESTIMATORS`` are the validation sets consulted
-by :meth:`ScenarioConfig.__post_init__`; registering a new access factory
-or estimator with :mod:`repro.run.builder` extends them, so custom kinds
-validate like the built-ins.
+``KNOWN_ACCESS`` and ``KNOWN_CHANNELS`` are the closed sets of access and
+channel kinds that :meth:`ScenarioConfig.__post_init__` accepts; the
+builder assembles exactly these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from ..app.adaptation import AdaptationConfig
 from ..media.quality import QoeSummary, qoe_summary
@@ -41,15 +40,12 @@ if TYPE_CHECKING:  # import cycle: app endpoints import the topology/trace
 #: ``MONITORED_UE_ID + k`` and cross traffic numbers above every call.
 MONITORED_UE_ID = 1
 
-#: Access kinds the scenario validator accepts (builder registries extend).
-KNOWN_ACCESS: Set[str] = {"5g", "emulated"}
+#: Access kinds the scenario validator accepts.
+KNOWN_ACCESS: FrozenSet[str] = frozenset({"5g", "emulated"})
 
-#: Bandwidth-estimator kinds the scenario validator accepts.
-KNOWN_ESTIMATORS: Set[str] = {"gcc", "nada", "scream"}
-
-#: Channel-model kinds the scenario validator accepts (builder registries
-#: extend).  ``channel_phases`` overrides the named model when set.
-KNOWN_CHANNELS: Set[str] = {"fixed", "gauss_markov"}
+#: Channel-model kinds the scenario validator accepts.  ``channel_phases``
+#: overrides the named model when set.
+KNOWN_CHANNELS: FrozenSet[str] = frozenset({"fixed", "gauss_markov"})
 
 
 def _lists_to_tuples(config: object, names: Tuple[str, ...]) -> None:
@@ -80,7 +76,6 @@ class CallSpec:
     call_id: int = 0
     #: UE carrying this call; defaults to ``MONITORED_UE_ID + call_id``.
     ue_id: Optional[int] = None
-    estimator: Optional[str] = None
     adaptation: Optional[AdaptationConfig] = None
     channel: Optional[str] = None
     channel_phases: Optional[Tuple[Tuple[TimeUs, int, float], ...]] = None
@@ -121,7 +116,7 @@ class ScenarioConfig:
 
     duration_s: float = 60.0
     seed: int = 7
-    access: str = "5g"  # "5g" | "emulated" | registered custom kinds
+    access: str = "5g"  # "5g" | "emulated"
     ran: RanConfig = field(default_factory=RanConfig)
     channel: str = "fixed"  # "fixed" | "gauss_markov"
     cross_traffic: Optional[CrossTrafficConfig] = None
@@ -134,7 +129,6 @@ class ScenarioConfig:
     # Scripted (start_us, mcs, bler) phases for the monitored UE's channel;
     # overrides ``channel`` when set (mobility episodes, Fig 8).
     channel_phases: Optional[Tuple[Tuple[TimeUs, int, float], ...]] = None
-    estimator: str = "gcc"  # "gcc" | "nada" | "scream" | registered kinds
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     fixed_mode: Optional[FpsMode] = None
     fixed_bitrate_kbps: Optional[float] = None
@@ -172,8 +166,6 @@ class ScenarioConfig:
             )
         if self.access not in KNOWN_ACCESS:
             raise ValueError(f"unknown access type: {self.access}")
-        if self.estimator not in KNOWN_ESTIMATORS:
-            raise ValueError(f"unknown estimator: {self.estimator}")
         if self.channel not in KNOWN_CHANNELS:
             raise ValueError(f"unknown channel model: {self.channel}")
         if self.aware_ran and self.aware_ran_learned:
@@ -197,10 +189,6 @@ class ScenarioConfig:
         if any(ue < 1 for ue in ue_ids):
             raise ValueError(f"UE ids must be positive: {sorted(ue_ids)}")
         for spec in calls:
-            if spec.estimator is not None and spec.estimator not in KNOWN_ESTIMATORS:
-                raise ValueError(
-                    f"call {spec.call_id}: unknown estimator: {spec.estimator}"
-                )
             if spec.channel is not None and spec.channel not in KNOWN_CHANNELS:
                 raise ValueError(
                     f"call {spec.call_id}: unknown channel model: {spec.channel}"

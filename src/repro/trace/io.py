@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Tuple, Type, Union
 
+from .bus import CHANNEL_FIELDS
 from .schema import (
     FrameRecord,
     GrantRecord,
@@ -35,16 +36,6 @@ _RECORD_TYPES: Dict[str, Type] = {
     "probe": ProbeRecord,
     "sync": SyncExchangeRecord,
 }
-
-_TRACE_FIELDS: Dict[str, str] = {
-    "packet": "packets",
-    "tb": "transport_blocks",
-    "grant": "grants",
-    "frame": "frames",
-    "probe": "probes",
-    "sync": "sync_exchanges",
-}
-
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed."""
@@ -134,7 +125,7 @@ def write_trace_jsonl(
     """Write ``trace`` to ``path`` in the tagged JSONL format, batched.
 
     Output is byte-identical to the historical per-record writer (family
-    order per ``_TRACE_FIELDS``, one ``meta`` line first).  A
+    order per ``CHANNEL_FIELDS``, one ``meta`` line first).  A
     :class:`~repro.trace.columnar.ColumnarTrace` takes the fast path —
     JSON-able rows are built straight from the column arrays without
     materializing record objects.  Returns the record-line count.
@@ -145,7 +136,7 @@ def write_trace_jsonl(
     written = 0
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"type": "meta", **_to_jsonable(trace.metadata)}) + "\n")
-        for tag, attr in _TRACE_FIELDS.items():
+        for tag, attr in CHANNEL_FIELDS.items():
             if isinstance(trace, ColumnarTrace):
                 store = trace.stores[tag]
                 rows_total = store.rows
@@ -208,7 +199,7 @@ def iter_trace_records(
             if tag == "meta":
                 yield "meta", data
                 continue
-            if tag not in _TRACE_FIELDS:
+            if tag not in CHANNEL_FIELDS:
                 raise TraceFormatError(
                     f"{path}:{line_no}: unknown record type: {tag!r}"
                 )
@@ -222,7 +213,7 @@ def load_trace(path: Union[str, Path]) -> Trace:
         if tag == "meta":
             trace.metadata.update(record)
         else:
-            getattr(trace, _TRACE_FIELDS[tag]).append(record)
+            getattr(trace, CHANNEL_FIELDS[tag]).append(record)
     return trace
 
 
@@ -235,7 +226,7 @@ def export_csv(trace: Trace, directory: Union[str, Path]) -> Dict[str, Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
-    for tag, attr in _TRACE_FIELDS.items():
+    for tag, attr in CHANNEL_FIELDS.items():
         records = getattr(trace, attr)
         if not records:
             continue

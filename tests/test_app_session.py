@@ -20,10 +20,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(access="wifi")
 
-    def test_bad_estimator_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(estimator="bbr")
-
     def test_both_aware_modes_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(aware_ran=True, aware_ran_learned=True)

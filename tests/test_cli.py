@@ -14,13 +14,12 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.duration == 20.0
         assert args.access == "5g"
-        assert args.estimator == "gcc"
         assert args.out == "trace.jsonl"
 
     def test_run_flags(self):
         args = build_parser().parse_args(
             ["run", "--duration", "5", "--access", "emulated",
-             "--estimator", "nada", "--cross-mbps", "14",
+             "--cross-mbps", "14",
              "--aware-ran", "--out", "x.jsonl"]
         )
         assert args.duration == 5.0

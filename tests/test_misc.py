@@ -1,6 +1,10 @@
 """Coverage for small helpers not exercised elsewhere."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from repro.app import ScenarioConfig, run_session
 from repro.core.delay import summarize_trace_owds
@@ -49,3 +53,16 @@ def test_version_exposed():
     import repro
 
     assert repro.__version__ == "1.0.0"
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
+def test_example_imports(path):
+    # Every example keeps its work under a __main__ guard, so importing it
+    # runs nothing but still fails on any API it uses that no longer exists.
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

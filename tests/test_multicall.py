@@ -284,21 +284,6 @@ def test_cross_traffic_ue_ids_clear_call_ues():
     assert wide.cross_traffic_first_ue_id() == 202
 
 
-def test_per_call_estimator_override():
-    result = run_session(
-        ScenarioConfig(
-            duration_s=0.5,
-            seed=7,
-            calls=[
-                CallSpec(call_id=0, estimator="gcc"),
-                CallSpec(call_id=1, estimator="nada"),
-            ],
-        )
-    )
-    names = [type(c.receiver.estimator).__name__ for c in result.calls]
-    assert names == ["GccEstimator", "NadaEstimator"]
-
-
 # ----------------------------------------------------------------------
 # Unit tests: call attribution and the composite advisor
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The composable session builder: isolation, registries, compatibility."""
+"""The session builder: run isolation, metadata, build/start split."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ from repro.app.session import run_session
 from repro.experiments.common import emulated_scenario, idle_cell_scenario
 from repro.phy.params import RanConfig
 from repro.phy.ran import RanSimulator, nominal_ul_capacity_kbps
-from repro.run import (
-    DEFAULT_PIPELINE,
-    KNOWN_ESTIMATORS,
-    ScenarioConfig,
-    SessionBuilder,
-    register_stage,
-)
-from repro.run.builder import ESTIMATOR_FACTORIES, STAGES, register_estimator
+from repro.run import SessionBuilder
 from repro.sim.engine import Simulator
 from repro.trace import save_trace
 
@@ -51,75 +44,19 @@ class TestRunIsolation:
 class TestMetadata:
     def test_metadata_keys_and_values(self):
         result = run_session(idle_cell_scenario(duration_s=1.0, seed=3))
-        assert list(result.trace.metadata) == [
-            "access", "duration_s", "seed", "estimator",
-        ]
+        assert list(result.trace.metadata) == ["access", "duration_s", "seed"]
         assert result.trace.metadata["seed"] == 3
         assert result.trace.metadata["access"] == "5g"
 
 
 class TestPipeline:
-    def test_default_pipeline_stages_registered(self):
-        assert DEFAULT_PIPELINE == (
-            "analysis", "access", "path", "endpoints", "mitigations",
-        )
-        for name in DEFAULT_PIPELINE:
-            assert name in STAGES
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown pipeline stages"):
-            SessionBuilder(ScenarioConfig(), pipeline=("access", "bogus"))
-
-    def test_custom_stage_extends_the_pipeline(self):
-        calls = []
-
-        @register_stage("test-marker")
-        def _marker(ctx):
-            calls.append(ctx.config.seed)
-            ctx.extras["marker"] = True
-
-        try:
-            builder = SessionBuilder(
-                idle_cell_scenario(duration_s=0.5, seed=4),
-                pipeline=DEFAULT_PIPELINE + ("test-marker",),
-            )
-            result = builder.run()
-        finally:
-            del STAGES["test-marker"]
-        assert calls == [4]
-        assert len(result.trace.packets) > 0
-
     def test_build_returns_unstarted_session(self):
         builder = SessionBuilder(idle_cell_scenario(duration_s=0.5, seed=4))
         ctx = builder.build()
         assert ctx.sim.now == 0
-        assert ctx.topology is not None
-        assert ctx.sender is not None and ctx.receiver is not None
-
-
-class TestEstimatorRegistry:
-    def test_builtin_kinds_registered(self):
-        assert {"gcc", "nada", "scream"} <= set(ESTIMATOR_FACTORIES)
-
-    def test_custom_estimator_runs_end_to_end(self):
-        from repro.cc.gcc import GccEstimator
-
-        class TaggedGcc(GccEstimator):
-            pass
-
-        register_estimator("tagged-gcc")(TaggedGcc)
-        try:
-            config = idle_cell_scenario(duration_s=0.5, seed=4,
-                                        estimator="tagged-gcc")
-            result = run_session(config)
-            assert isinstance(result.receiver.estimator, TaggedGcc)
-        finally:
-            del ESTIMATOR_FACTORIES["tagged-gcc"]
-            KNOWN_ESTIMATORS.discard("tagged-gcc")
-
-    def test_unregistered_kind_still_rejected(self):
-        with pytest.raises(ValueError, match="unknown estimator"):
-            ScenarioConfig(estimator="nope")
+        call = ctx.calls[0]
+        assert call.topology is not None
+        assert call.sender is not None and call.receiver is not None
 
 
 class TestNominalCapacity:

@@ -75,9 +75,9 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("config, key", [
         (ScenarioConfig(),
-         "754e0dd85f5027b6cd01f7bb81a5c14e426437e16ffe09485b8b084694caa9c2"),
+         "f48eb0865ee0c8c77d12473144dba63c4fe0f138af595e3bef76ee11ff162452"),
         (ScenarioConfig(calls=[CallSpec(call_id=0), CallSpec(call_id=1)]),
-         "e408dd6447ab1073267ddb3810fded914c4988da3b135b198b85c811b72fc047"),
+         "efca0766c9a75fcb5073716d26ffe8d082a6dbd14e48e7cefab0e8c809a55cf2"),
     ], ids=["default", "two-call"])
     def test_canonical_form_is_pinned(self, config, key):
         # The unsalted canonical form must not move when config fields that

@@ -38,7 +38,7 @@ from repro.core.streaming import (
 )
 from repro.core.streaming.live import DEFAULT_TRACKED_PACKETS
 from repro.run.builder import SessionBuilder, run_session
-from repro.run.scenario import MONITORED_UE_ID, ScenarioConfig
+from repro.run.scenario import MONITORED_UE_ID, CallSpec, ScenarioConfig
 from repro.sim.units import ms
 from repro.trace.bus import CHANNEL_FIELDS, InMemorySink
 from repro.trace.io import encode_jsonl_batch, load_trace, save_trace, to_jsonable
@@ -136,13 +136,29 @@ class TestLiveSessionPath:
             paths.append(path)
         assert filecmp.cmp(paths[0], paths[1], shallow=False)
 
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, ["root_causes", "clusters", "correlation"]),
+        ({"access": "emulated"}, ["root_causes", "clusters"]),
+        (
+            {"calls": [CallSpec(call_id=0),
+                       CallSpec(call_id=1, record_tbs=False)]},
+            ["root_causes.call0", "clusters.call0", "correlation.call0",
+             "root_causes.call1", "clusters.call1"],
+        ),
+    ], ids=["5g", "emulated", "two-call"])
+    def test_live_operators_attach_in_fixed_order(self, overrides, expected):
+        # Operator order is tap delivery order; the TB correlator attaches
+        # only to calls with TB telemetry on the 5G path.
+        result = run_session(
+            ScenarioConfig(duration_s=1.0, seed=9, live_analysis=True,
+                           **overrides)
+        )
+        assert list(result.analysis) == expected
+
     def test_live_session_populates_diagnosis(self):
         result = run_session(
             ScenarioConfig(duration_s=2.0, seed=9, live_analysis=True)
         )
-        assert set(result.analysis) == {
-            "clusters", "correlation", "root_causes",
-        }
         diagnosis = result.diagnosis
         assert diagnosis is not None
         assert diagnosis.packets_seen > 0
