@@ -29,6 +29,7 @@ the watermark window instead of the run length.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -150,8 +151,6 @@ class TbPacketCorrelator(TimeOrderedOperator):
         self.matches: Dict[int, TbPacketMatch] = {}
         self.empty_tbs: List[int] = []
         self.evicted: List[int] = []
-        self.matched_count = 0
-        self.packets_seen = 0
 
     # -- heap keys -----------------------------------------------------
     def record_key(self, channel: str, record: object) -> Optional[TimeUs]:
@@ -175,7 +174,6 @@ class TbPacketCorrelator(TimeOrderedOperator):
     def process(self, channel: str, record: object) -> None:
         if channel == "packet":
             assert isinstance(record, PacketRecord)
-            self.packets_seen += 1
             self._queue.append((record, record.size_bytes))
             if self.retain_results:
                 self._packet_order.append(record.packet_id)
@@ -232,7 +230,6 @@ class TbPacketCorrelator(TimeOrderedOperator):
                 self._queue[0] = (packet, remaining)
 
     def _complete(self, match: TbPacketMatch) -> None:
-        self.matched_count += 1
         if self.on_match is not None:
             self.on_match(match)
         if not self.retain_results:
@@ -283,7 +280,6 @@ class FrameClusterOperator(TimeOrderedOperator):
         self._next_burst_id = 0
         self._last_send: Optional[TimeUs] = None
         self._last_burst_key: Optional[int] = None
-        self.clusters_closed = 0
 
     def record_key(self, channel: str, record: object) -> Optional[TimeUs]:
         assert isinstance(record, PacketRecord)
@@ -325,7 +321,6 @@ class FrameClusterOperator(TimeOrderedOperator):
         ]
         for key in ripe:
             cluster = self._open.pop(key)
-            self.clusters_closed += 1
             if self.on_cluster is not None:
                 self.on_cluster(key, cluster)
 
@@ -433,6 +428,9 @@ class RootCauseOperator(StreamOperator):
     passes ``encode_done + settle_after_us``, by which point every packet
     of the frame has been paced out, carried, and finalized; index entries
     older than ``retention_us`` behind the watermark are then evicted.
+    With ``retain_results=False`` each entry's age (packet: sender capture,
+    TB: slot) also goes on a min-heap as it arrives, so eviction pops just
+    the expired entries instead of rebuilding the indexes.
     Frames are diagnosed *before* eviction in each watermark step, so any
     ``retention_us >= settle_after_us`` keeps diagnoses complete.
 
@@ -470,12 +468,15 @@ class RootCauseOperator(StreamOperator):
         self.on_diagnosis = on_diagnosis
         self.cause_counts: Counter = Counter()
         self.diagnoses: List[FrameDiagnosis] = []
-        self.diagnosed_count = 0
         self.breakdown_op = DelayBreakdownOperator(
             retain_results=retain_results, on_breakdown=on_breakdown
         )
         self._packet_index: Dict[int, PacketRecord] = {}
         self._tb_index: Dict[int, TransportBlockRecord] = {}
+        # (age, id) min-heaps over the index entries, kept only when
+        # entries are evicted (retain_results=False).
+        self._packet_ages: List[Tuple[TimeUs, int]] = []
+        self._tb_ages: List[Tuple[TimeUs, int]] = []
         self._frames = _FrameBuffer(
             key_fn=lambda f: f.encode_done_us + self.settle_after_us,
             process_fn=self._diagnose,
@@ -489,10 +490,17 @@ class RootCauseOperator(StreamOperator):
         if channel == "packet":
             assert isinstance(record, PacketRecord)
             self._packet_index[record.packet_id] = record
+            if not self.retain_results:
+                heapq.heappush(
+                    self._packet_ages,
+                    (record.capture_at(_SENDER) or 0, record.packet_id),
+                )
             self.breakdown_op.on_record(channel, record)
             return
         assert isinstance(record, TransportBlockRecord)
         self._tb_index[record.tb_id] = record
+        if not self.retain_results:
+            heapq.heappush(self._tb_ages, (record.slot_us, record.tb_id))
 
     def _diagnose(self, frame: FrameRecord) -> None:
         d = diagnose_frame(
@@ -504,7 +512,6 @@ class RootCauseOperator(StreamOperator):
         )
         if d is None:
             return
-        self.diagnosed_count += 1
         self.cause_counts[d.cause] += 1
         if self.retain_results:
             self.diagnoses.append(d)
@@ -516,18 +523,12 @@ class RootCauseOperator(StreamOperator):
         if self.retain_results:
             return
         horizon = watermark_us - self.retention_us
-        if self._packet_index:
-            self._packet_index = {
-                pid: p
-                for pid, p in self._packet_index.items()
-                if (p.capture_at(_SENDER) or 0) >= horizon
-            }
-        if self._tb_index:
-            self._tb_index = {
-                tid: tb
-                for tid, tb in self._tb_index.items()
-                if tb.slot_us >= horizon
-            }
+        for ages, index in (
+            (self._packet_ages, self._packet_index),
+            (self._tb_ages, self._tb_index),
+        ):
+            while ages and ages[0][0] < horizon:
+                index.pop(heapq.heappop(ages)[1], None)
 
     def index_size(self) -> int:
         """Resident packet+TB index entries (bounded live, full on replay)."""

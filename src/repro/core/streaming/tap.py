@@ -20,13 +20,22 @@ time-ordered operators re-sort them exactly.  ``lateness_us=None`` never
 advances the watermark; everything is released at :meth:`close` in strict
 event order, which is the mode the batch facades replay under.
 
+A watermark is re-issued only once it has moved ``advance_every_us`` past
+the last one.  Operators with the same gating channels share a watermark,
+so the tap tracks them as one *group* holding the mark its low must reach
+next (``due_at``).  A record that raises a channel's mark queues just the
+groups gated by that channel whose ``due_at`` it reaches; the next record
+delivered to any operator advances the queued groups that are really due
+and calls ``on_watermark`` on their operators in operator order.  Records
+that raise no mark cost no watermark work at all.
+
 Operator results are collected into :attr:`results` (keyed by operator
 ``name``) when the tap closes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import TimeUs, ms
 from ...trace.bus import CHANNELS, TraceSink
@@ -93,13 +102,28 @@ class AnalysisTap(TraceSink):
             for ch in CHANNELS
         }
         self._high: Dict[str, TimeUs] = {}
+        # Watermark groups, keyed by gating-channel tuple: each operator's
+        # group, the lowest mark each group must reach before its next
+        # advance, the groups each channel's mark gates (none when the
+        # watermark never advances), and the groups queued for a check.
+        self._group_of: List[Tuple[str, ...]] = [
+            op.watermark_channels or op.channels for op in self.operators
+        ]
+        self._due_at: Dict[Tuple[str, ...], TimeUs] = {
+            group: (lateness_us or 0) + 1 for group in self._group_of
+        }
+        self._gated_by: Dict[str, List[Tuple[str, ...]]] = {
+            ch: [g for g in self._due_at if ch in g]
+            if lateness_us is not None
+            else []
+            for ch in CHANNELS
+        }
+        self._queued: Dict[Tuple[str, ...], None] = {}
         # Open (final=False) records awaiting finalization: id -> (channel,
         # record).  The record reference is kept so close() can deliver
         # whatever never finalized.
         self._open: Dict[int, tuple] = {}
-        self._last_advance: Dict[int, TimeUs] = {}
         self.results: Dict[str, object] = {}
-        self.records_delivered = 0
         self.closed = False
 
     # -- TraceSink protocol --------------------------------------------
@@ -142,37 +166,42 @@ class AnalysisTap(TraceSink):
 
     # -- delivery ------------------------------------------------------
     def _deliver(self, channel: str, record: object) -> None:
-        subscribers = self._subscribers[channel]
         event_us = record_event_time(channel, record)
         if event_us is not None and event_us > self._high.get(channel, 0):
             self._high[channel] = event_us
+            due_at = self._due_at
+            for group in self._gated_by[channel]:
+                if event_us >= due_at[group]:
+                    self._queued[group] = None
+        subscribers = self._subscribers[channel]
         if not subscribers:
             return
-        self.records_delivered += 1
         for op in subscribers:
             op.on_record(channel, record)
-        if self.lateness_us is not None:
-            self._maybe_advance()
+        if self._queued:
+            self._advance_queued()
 
-    def _watermark_for(self, op: StreamOperator) -> Optional[TimeUs]:
-        if self.lateness_us is None:
-            return None
-        gating = op.watermark_channels or op.channels
-        # A subscribed channel that has produced nothing yet pins the
-        # watermark at zero: we cannot know its first record's event time.
-        # Operators exclude genuinely optional channels via
-        # ``watermark_channels``.
-        if any(ch not in self._high for ch in gating):
-            return None
-        return min(self._high[ch] for ch in gating) - self.lateness_us
+    def _advance_queued(self) -> None:
+        """Advance every queued group whose low mark reached its ``due_at``.
 
-    def _maybe_advance(self) -> None:
-        for op in self.operators:
-            watermark = self._watermark_for(op)
-            if watermark is None or watermark <= 0:
+        A gating channel that has produced nothing yet pins its group's
+        watermark: we cannot know its first record's event time.  Operators
+        exclude genuinely optional channels via ``watermark_channels``.
+        """
+        assert self.lateness_us is not None
+        high = self._high
+        watermarks: Dict[Tuple[str, ...], TimeUs] = {}
+        for group in self._queued:
+            if any(ch not in high for ch in group):
                 continue
-            last = self._last_advance.get(id(op))
-            if last is not None and watermark - last < self.advance_every_us:
-                continue
-            self._last_advance[id(op)] = watermark
-            op.on_watermark(watermark)
+            low = min(high[ch] for ch in group)
+            if low >= self._due_at[group]:
+                self._due_at[group] = low + self.advance_every_us
+                watermarks[group] = low - self.lateness_us
+        self._queued.clear()
+        if not watermarks:
+            return
+        for op, group in zip(self.operators, self._group_of):
+            watermark = watermarks.get(group)
+            if watermark is not None:
+                op.on_watermark(watermark)

@@ -95,6 +95,19 @@ class AppAwareAdvisor:
         """Suppress proactive grants for the managed UE when configured."""
         return self.suppress_proactive_grants and ue_id == self.ue_id
 
+    def next_grant_slot(self, from_us: TimeUs) -> TimeUs:
+        """First uplink slot >= ``from_us`` with a frame or audio grant due."""
+        tdd = self._tdd
+        slot_us = tdd.next_ul_slot_start(
+            max(self.schedule.next_frame_us + self.ready_margin_us, from_us)
+        )
+        if self.suppress_proactive_grants:
+            slot_us = min(
+                slot_us,
+                tdd.next_ul_slot_start(max(self._next_audio_grant_us, from_us)),
+            )
+        return slot_us
+
     # ------------------------------------------------------------------
     def _frame_grant(self, slot_us: TimeUs) -> Optional[PendingGrant]:
         # A frame generated at t is transmittable at the first UL slot
@@ -165,6 +178,10 @@ class MultiCallAdvisor:
         if advisor is None:
             return False
         return advisor.suppress_proactive(ue_id, slot_us)
+
+    def next_grant_slot(self, from_us: TimeUs) -> TimeUs:
+        """The earliest next grant slot over every managed call."""
+        return min(advisor.next_grant_slot(from_us) for advisor in self.advisors)
 
     @property
     def grants_issued(self) -> int:

@@ -11,18 +11,19 @@ configure the paper's emulated wired baseline (Fig 7).
 Slot-loop hot path (DESIGN.md §3.2)
 -----------------------------------
 A cell-wide *idle* uplink slot — no buffered data, no due or pending grant,
-no HARQ reservation, no grant advisor — produces no transport blocks, no
+no HARQ reservation, no advisor grant due — produces no transport blocks, no
 HARQ draws, and no channel samples; its only effect is the capacity
 accounting of the zero-fill proactive grants, computed arithmetically from
 each channel's RNG-free ``nominal_mcs``.  Because idle slots are pure
 arithmetic, the loop can *elide* them (``RanConfig.elide_idle_slots``): it
 jumps straight to the scheduler's ``next_busy_slot_after`` and goes fully
 dormant when no work is queued, revived by demand wake-ups from packet
-enqueues, decoded BSRs/SRs, new grants, retransmission reservations, and
-advisor installation.  Slot events run at a reserved negative priority so
-the elided and per-slot reference paths fire in identical order among
-same-timestamp events; a trace-identity test asserts the two paths emit
-byte-identical telemetry.
+enqueues, decoded BSRs/SRs, new grants, retransmission reservations,
+advisor installation and advisor schedule refreshes
+(:meth:`RanSimulator.advisor_changed`).  Slot events run at a reserved
+negative priority so the elided and per-slot reference paths fire in
+identical order among same-timestamp events; a trace-identity test asserts
+the two paths emit byte-identical telemetry.
 """
 
 from __future__ import annotations
@@ -187,10 +188,20 @@ class RanSimulator:
 
     def set_grant_advisor(self, advisor: Optional[GrantAdvisor]) -> None:
         """Install an application-aware scheduling strategy (§5.2)."""
+        # Settle the elided slots under the old advisor: idle accounting
+        # and the round-robin rotation both depend on which one is set.
+        self._catch_up_idle()
         self.scheduler.advisor = advisor
         if advisor is not None:
-            # Advisors may inject grants in any slot: every slot is busy now.
-            self._demand_wake(self.sim.now + 1)
+            self.advisor_changed()
+
+    def advisor_changed(self) -> None:
+        """The advisor's schedule moved: its next grant may now be sooner.
+
+        Schedule refreshes outside the slot loop must call this, or an
+        eliding loop could sleep through a grant the refresh pulled in.
+        """
+        self._demand_wake(self.sim.now + 1)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -304,6 +315,8 @@ class RanSimulator:
                 self._in_slot = False
         else:
             self._account_idle_slot(slot_us)
+            if scheduler.advisor is not None:
+                scheduler.skip_slots(1)
         if not self._eliding:
             self._schedule_slot_at(
                 self.tdd.next_ul_slot_start(slot_us + self.config.slot_us)
@@ -366,6 +379,8 @@ class RanSimulator:
         first = self.tdd.next_ul_slot_start(cursor)
         if first >= limit_us:
             return
+        if self.scheduler.advisor is not None:
+            self.scheduler.skip_slots(self.tdd.ul_slot_count(first, limit_us))
         if self._nominal_mcs_varies:
             for slot_us in self.tdd.ul_slots_between(first, limit_us):
                 self._account_idle_slot(slot_us)

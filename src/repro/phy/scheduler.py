@@ -49,13 +49,24 @@ class SlotAllocation:
 
 
 class GrantAdvisor(Protocol):
-    """Hook for application-aware scheduling strategies (§5.2)."""
+    """Hook for application-aware scheduling strategies (§5.2).
+
+    The idle-eliding slot loop only fires the slots in which an advisor
+    grants (:meth:`next_grant_slot`), so an advisor whose schedule changes
+    outside :meth:`grants_for_slot` must be followed by
+    :meth:`~repro.phy.ran.RanSimulator.advisor_changed`.  Proactive
+    suppression is read per slot but must likewise only change with it.
+    """
 
     def grants_for_slot(self, slot_us: TimeUs) -> List[PendingGrant]:
         """Extra grants to serve in this slot (treated as requested)."""
 
     def suppress_proactive(self, ue_id: int, slot_us: TimeUs) -> bool:
         """Return True to skip the proactive grant for this UE this slot."""
+
+    def next_grant_slot(self, from_us: TimeUs) -> TimeUs:
+        """Earliest uplink slot >= ``from_us`` in which
+        :meth:`grants_for_slot` would grant under the current schedule."""
 
 
 class GnbScheduler:
@@ -170,13 +181,11 @@ class GnbScheduler:
 
         A slot is *busy* when any UE has buffered data, any pending grant is
         due (``usable_slot_us <= slot``), a HARQ retransmission reserved
-        capacity in it, or a grant advisor is installed (advisors may inject
-        work in any slot).  On a non-busy slot the only scheduler output
-        would be zero-fill proactive grants, which the slot loop accounts
-        arithmetically instead of simulating.
+        capacity in it, or an installed grant advisor has work in it (see
+        :meth:`_advised_work`).  On a non-busy slot the only scheduler
+        output would be zero-fill proactive grants, which the slot loop
+        accounts arithmetically instead of simulating.
         """
-        if self.advisor is not None:
-            return True
         # Any reservation entry counts (even 0 PRBs): schedule_slot must run
         # so the entry is popped identically on both loop paths.
         if slot_us in self._reserved_prbs:
@@ -184,6 +193,10 @@ class GnbScheduler:
         for ue in ues:
             if not ue.buffer.empty:
                 return True
+        if self.advisor is not None:
+            return self._advised_work(slot_us, ues) or (
+                self.advisor.next_grant_slot(slot_us) <= slot_us
+            )
         for queue in self._pending.values():
             for grant in queue:
                 if grant.usable_slot_us <= slot_us:
@@ -197,28 +210,62 @@ class GnbScheduler:
 
         Sources considered: buffered data on any UE, pending (even not yet
         due) grants, HARQ retransmission reservations, and an installed
-        advisor.  Demand that *arrives later* (a packet enqueue, a decoded
-        BSR, a scheduling request) flows through :attr:`wake_hook` instead —
-        together they make the slot loop exactly as reactive as the
-        every-slot reference loop.
+        advisor's next grant or advised work.  Demand that *arrives later*
+        (a packet enqueue, a decoded BSR, a scheduling request, an advisor
+        schedule refresh) flows through :attr:`wake_hook` instead — together
+        they make the slot loop exactly as reactive as the every-slot
+        reference loop.
         """
         tdd = self._tdd
-        if self.advisor is not None:
-            return tdd.next_ul_slot_start(slot_us + 1)
         for ue in ues:
             if not ue.buffer.empty:
                 return tdd.next_ul_slot_start(slot_us + 1)
         candidate: Optional[TimeUs] = None
-        for queue in self._pending.values():
-            for grant in queue:
-                if candidate is None or grant.usable_slot_us < candidate:
-                    candidate = grant.usable_slot_us
-        if candidate is not None:
-            candidate = tdd.next_ul_slot_start(max(candidate, slot_us + 1))
+        advisor = self.advisor
+        if advisor is not None:
+            next_slot = tdd.next_ul_slot_start(slot_us + 1)
+            if self._advised_work(next_slot, ues):
+                return next_slot
+            candidate = advisor.next_grant_slot(next_slot)
+        else:
+            for queue in self._pending.values():
+                for grant in queue:
+                    if candidate is None or grant.usable_slot_us < candidate:
+                        candidate = grant.usable_slot_us
+            if candidate is not None:
+                candidate = tdd.next_ul_slot_start(max(candidate, slot_us + 1))
         for retx_slot in self._reserved_prbs:
             if retx_slot > slot_us and (candidate is None or retx_slot < candidate):
                 candidate = retx_slot
         return candidate
+
+    def _advised_work(self, slot_us: TimeUs, ues: Iterable[UePhy]) -> bool:
+        """Work an advised slot has besides the advisor's own grants.
+
+        With an advisor installed, :meth:`schedule_slot` samples the channel
+        of every UE with a pending grant, due or not, and a proactive UE
+        the advisor does not suppress gets a real (zero-fill) TB; either
+        makes every slot busy while it lasts.
+        """
+        if self._pending:
+            return True
+        if not self._config.proactive_grants:
+            return False
+        advisor = self.advisor
+        assert advisor is not None
+        for ue in ues:
+            if ue.proactive and not advisor.suppress_proactive(ue.ue_id, slot_us):
+                return True
+        return False
+
+    def skip_slots(self, n: int) -> None:
+        """Account ``n`` advised uplink slots that were not scheduled.
+
+        With an advisor installed the round-robin start rotates on every
+        uplink slot: :meth:`schedule_slot` rotates it on the slots it runs,
+        and the slot loop calls this for the advised slots it skips.
+        """
+        self._rr_offset += n
 
     def idle_slot_granted_bits(
         self, slot_us: TimeUs, ues: Iterable[UePhy]
@@ -226,8 +273,9 @@ class GnbScheduler:
         """Granted bits a zero-demand uplink slot would produce.
 
         Mirrors the proactive-grant stage of :meth:`schedule_slot` for a
-        slot with no requested grants, reservations, or advisor — sizing
-        PRBs from each channel's RNG-free ``nominal_mcs`` — WITHOUT
+        slot with no requested grants or reservations — skipping UEs the
+        advisor suppresses and sizing PRBs from each channel's RNG-free
+        ``nominal_mcs`` — WITHOUT
         advancing the round-robin offset or any channel state.  The slot
         loop multiplies this by the number of elided slots to fast-forward
         capacity accounting arithmetically.
@@ -242,9 +290,12 @@ class GnbScheduler:
         available = cfg.n_ul_prbs
         granted = 0
         offset = self._rr_offset
+        advisor = self.advisor
         for i in range(n):
             ue = ue_list[(offset + i) % n]
             if not ue.proactive:
+                continue
+            if advisor is not None and advisor.suppress_proactive(ue.ue_id, slot_us):
                 continue
             prbs = prbs_for_bits(
                 cfg.proactive_tb_bits,

@@ -290,7 +290,10 @@ def _stage_endpoints(ctx: SessionContext) -> None:
 
 
 def _register_metadata_refresh(
-    sim: Simulator, sender: VcaSender, schedule: MediaSchedule
+    sim: Simulator,
+    ran: RanSimulator,
+    sender: VcaSender,
+    schedule: MediaSchedule,
 ) -> None:
     """§5.2 metadata path: the app announces its frame clock and keeps the
     size estimate fresh (the periodically-updated RTP extension)."""
@@ -303,6 +306,7 @@ def _register_metadata_refresh(
             * 1_000 / 8 / nominal_fps(sender.mode)
         )
         schedule.advance_to(sim.now)
+        ran.advisor_changed()
 
     sim.every(ms(100.0), refresh_from_app)
 
@@ -361,13 +365,15 @@ def _stage_mitigations(ctx: SessionContext) -> None:
                 call.topology.media_send_listeners.append(
                     lambda packet, t, p=predictor: p.observe(t, packet.size_bytes)
                 )
-            sim.every(
-                ms(500.0),
-                lambda p=predictor, s=schedule: p.refresh_schedule(s, sim.now),
-            )
+
+            def refresh_learned(p=predictor, s=schedule) -> None:
+                p.refresh_schedule(s, sim.now)
+                ran.advisor_changed()
+
+            sim.every(ms(500.0), refresh_learned)
         else:
             assert call.sender is not None
-            _register_metadata_refresh(sim, call.sender, schedule)
+            _register_metadata_refresh(sim, ran, call.sender, schedule)
 
 
 # ----------------------------------------------------------------------

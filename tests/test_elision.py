@@ -8,8 +8,11 @@ trace of a full session.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.mitigation.aware_ran import AppAwareAdvisor, MediaSchedule
 from repro.phy import (
     FixedChannel,
     GaussMarkovChannel,
@@ -17,14 +20,15 @@ from repro.phy import (
     RanConfig,
     RanSimulator,
 )
-from repro.run.builder import SessionBuilder
-from repro.run.scenario import ScenarioConfig
+from repro.phy.params import CrossTrafficConfig, CrossTrafficPhase
+from repro.run.builder import SessionBuilder, run_session
+from repro.run.scenario import CallSpec, ScenarioConfig
 from repro.sim import RngStreams, Simulator, ms, seconds
 from repro.trace import MediaKind, PacketRecord
 from repro.trace.ids import IdSpace, new_packet_id, use_id_space
 from repro.trace.io import save_trace
 
-from .test_multicall import GOLDEN_CONTENDED, contended_config
+from .test_multicall import GOLDEN_CONTENDED, contended_config, trace_hash
 
 
 def _packet(size=1_100):
@@ -35,10 +39,11 @@ def _packet(size=1_100):
 
 
 def _ran_observables(elide, channel_factory, traffic_times_us, duration_us,
-                     config_kwargs=None):
+                     config_kwargs=None, setup=None):
     """Run a RAN-only scenario and return everything externally visible.
 
     A fresh id space makes packet ids comparable across the two runs.
+    ``setup(sim, ran)``, if given, runs once the UE is attached.
     """
     with use_id_space(IdSpace()):
         sim = Simulator()
@@ -47,6 +52,8 @@ def _ran_observables(elide, channel_factory, traffic_times_us, duration_us,
         ran.add_ue(1, channel=channel_factory(ran), record_tbs=True)
         delivered = []
         ran.set_uplink_sink(1, lambda p, t: delivered.append(t))
+        if setup is not None:
+            setup(sim, ran)
         for t_us in traffic_times_us:
             sim.at(t_us, lambda: ran.send_uplink(1, _packet()))
         sim.run_until(duration_us)
@@ -66,11 +73,11 @@ def _ran_observables(elide, channel_factory, traffic_times_us, duration_us,
 
 
 def _assert_equivalent(channel_factory, traffic_times_us, duration_us,
-                       config_kwargs=None):
+                       config_kwargs=None, setup=None):
     on = _ran_observables(True, channel_factory, traffic_times_us,
-                          duration_us, config_kwargs)
+                          duration_us, config_kwargs, setup)
     off = _ran_observables(False, channel_factory, traffic_times_us,
-                           duration_us, config_kwargs)
+                           duration_us, config_kwargs, setup)
     assert on == off
 
 
@@ -117,6 +124,31 @@ class TestRanEquivalence:
 
         times = [ms(5.0), ms(40.0)]
         _assert_equivalent(lambda ran: BareChannel(), times, ms(200.0))
+
+    def test_advisor_refresh_pulling_the_next_frame_in_wakes_the_loop(self):
+        # The eliding loop sleeps until the advisor's next grant (the
+        # 200 ms frame, or the 20 ms audio keep-alive); a refresh that
+        # moves the frame to 53 ms must wake it through advisor_changed().
+        def setup(sim, ran):
+            schedule = MediaSchedule(
+                next_frame_us=ms(200.0),
+                frame_period_us=ms(33.0),
+                frame_size_bytes=3000,
+            )
+            ran.set_grant_advisor(AppAwareAdvisor(
+                ran.config, ran.tdd, 1, schedule,
+                suppress_proactive_grants=True,
+            ))
+
+            def refresh():
+                schedule.next_frame_us = sim.now + ms(3.0)
+                ran.advisor_changed()
+
+            sim.at(ms(50.0) + 1, refresh)
+
+        _assert_equivalent(
+            lambda ran: FixedChannel(20, 0.0), [], ms(300.0), setup=setup
+        )
 
     def test_late_ue_attach_accounts_past_with_old_ue_set(self):
         def run(elide):
@@ -221,3 +253,87 @@ def test_trace_identity_contended_cell(tmp_path, seed):
         tmp_path, contended_config(seed, elide_idle_slots=False), f"c{seed}-0"
     )
     assert optimized == reference
+
+
+_METADATA = ScenarioConfig(duration_s=1.0, seed=11, aware_ran=True)
+
+#: Sessions with a §5.2 grant advisor installed, and the sha256 of their
+#: traces (tests.test_multicall.trace_hash) from the loop that fired every
+#: advised slot.  Between them they cover the learned and metadata paths,
+#: live analysis, proactive grants left on, HARQ retransmissions, and
+#: multi-call cells with and without unadvised calls and cross traffic.
+#: ``gauss_markov_loaded`` keeps grants pending across slots on a channel
+#: whose every sample draws from its RNG, so skipping a slot in which a
+#: not-yet-due grant is pending would move it.
+ADVISED_CONFIGS = {
+    "learned_live": ScenarioConfig(
+        duration_s=2.0, seed=7, live_analysis=True, mask_ran_delay=True,
+        aware_ran_learned=True,
+    ),
+    "learned": ScenarioConfig(duration_s=2.0, seed=7, aware_ran_learned=True),
+    "metadata": _METADATA,
+    "metadata_proactive": replace(
+        _METADATA, aware_ran_suppress_proactive=False
+    ),
+    "metadata_harq": replace(_METADATA, ran=RanConfig(base_bler=0.2)),
+    "multicall_all_advised": ScenarioConfig(
+        duration_s=1.0, seed=11, aware_ran=True,
+        calls=[CallSpec(call_id=0), CallSpec(call_id=1)],
+        record_grants=True,
+    ),
+    "gauss_markov_loaded": replace(
+        _METADATA, channel="gauss_markov",
+        ran=RanConfig(base_bler=0.3, n_ul_prbs=20),
+    ),
+    "multicall": ScenarioConfig(
+        duration_s=1.0, seed=11,
+        ran=RanConfig(n_ul_prbs=12),
+        cross_traffic=CrossTrafficConfig(
+            n_ues=2, phases=[CrossTrafficPhase(0, 3_000.0)]
+        ),
+        calls=[
+            CallSpec(call_id=0, aware_ran=True),
+            CallSpec(call_id=1, aware_ran_learned=True),
+            CallSpec(call_id=2),
+        ],
+        record_grants=True,
+    ),
+}
+
+GOLDEN_ADVISED = {
+    "learned_live": "085e5adb6e197192aa14a3b31056d01505d040a18715dc239a447062b58776fc",
+    "learned": "07b299e52aac9295e857cf59f30f333331db100212a78dd26d00a411e81f3b7e",
+    "metadata": "484646ee3edc45c075a8aab9312122501b97d4215540ea2310def946981d52af",
+    "metadata_proactive": "6be54a0d209bab38374cf39188247c06f2c5542f3565aeba5e354b33fb61f318",
+    "metadata_harq": "3ace77602f96b3e60f790471451bfa672225f6dd6bb2eb776d5f0178ea93d606",
+    "multicall_all_advised": "496383f8e36667391098783749698a5f8fec8e5c9eb5143fb8641c41d7f3b7bd",
+    "multicall": "fc4ce49ca0cdb0ce48c253141aa01addfc84f423402c208cdfc77ac62787c100",
+    "gauss_markov_loaded": "7d6a0a284e7e6fab45a79672fa069754704de58d5837c2f808b6e6cc35c83577",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ADVISED))
+@pytest.mark.parametrize("elide", [True, False], ids=["elided", "reference"])
+def test_advised_session_matches_golden(name, elide):
+    """Advised slots are elided without moving a byte, on either loop."""
+    config = ADVISED_CONFIGS[name]
+    config = replace(config, ran=replace(config.ran, elide_idle_slots=elide))
+    assert trace_hash(run_session(config).trace) == GOLDEN_ADVISED[name]
+
+
+def test_advised_session_fires_only_busy_slots(monkeypatch):
+    """An installed advisor no longer makes every uplink slot busy.
+
+    The 2 s learned-grant session has 800 uplink slots; the loop that
+    treated every advised slot as busy fired all of them.
+    """
+    fired = []
+    slot_event = RanSimulator._slot_event
+
+    def counting_slot_event(self):
+        fired.append(self.sim.now)
+        slot_event(self)
+
+    monkeypatch.setattr(RanSimulator, "_slot_event", counting_slot_event)
+    run_session(ADVISED_CONFIGS["learned_live"])
+    assert 0 < len(fired) <= 320

@@ -13,6 +13,8 @@ load-bearing guarantees are:
 from __future__ import annotations
 
 import filecmp
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -39,10 +41,11 @@ from repro.core.streaming import (
 from repro.core.streaming.live import DEFAULT_TRACKED_PACKETS
 from repro.run.builder import SessionBuilder, run_session
 from repro.run.scenario import MONITORED_UE_ID, CallSpec, ScenarioConfig
-from repro.sim.units import ms
+from repro.sim.units import ms, seconds
 from repro.trace.bus import CHANNEL_FIELDS, InMemorySink
+from repro.trace.ids import use_id_space
 from repro.trace.io import encode_jsonl_batch, load_trace, save_trace, to_jsonable
-from repro.trace.schema import MediaKind, PacketRecord, Trace
+from repro.trace.schema import CapturePoint, MediaKind, PacketRecord, Trace
 
 #: Ceiling on a streaming pass's peak traced memory, as a fraction of
 #: loading the whole trace.
@@ -315,6 +318,94 @@ class TestWatermarkEdgeCases:
         assert results["correlation"] == correlate_tbs_to_packets(
             result.trace, MONITORED_UE_ID
         )
+
+
+def _watermark_log(config: ScenarioConfig):
+    """Every ``on_watermark`` call of a live session's operators, in order."""
+    builder = SessionBuilder(config)
+    log = []
+    with use_id_space(builder.id_space):
+        ctx = builder.build()
+        for op in ctx.analysis_tap.operators:
+            def logged(watermark_us, op=op, on_watermark=op.on_watermark):
+                log.append([op.name, watermark_us])
+                on_watermark(watermark_us)
+
+            op.on_watermark = logged
+        builder.start(ctx)
+        ctx.sim.run_until(seconds(config.duration_s))
+    ctx.sink.close()
+    return log
+
+
+#: (config, call count, sha256 of the JSON call log) from the tap that
+#: recomputed every operator's watermark on every delivered record.
+WATERMARK_SCHEDULES = {
+    "one-call": (
+        ScenarioConfig(duration_s=2.0, seed=3, live_analysis=True),
+        54,
+        "a37faa10728852017535f2c7d7a8cf13f5ce4707ecb99ca9c8940b302625f98b",
+    ),
+    "learned-masked": (
+        ScenarioConfig(duration_s=2.0, seed=3, live_analysis=True,
+                       mask_ran_delay=True, aware_ran_learned=True),
+        54,
+        "eebc66404bed1f6fdeee265358a4654dccb7c5430eb12bdd9164de333389e3ab",
+    ),
+    "two-call": (
+        ScenarioConfig(duration_s=1.5, seed=3, live_analysis=True,
+                       calls=[CallSpec(call_id=0),
+                              CallSpec(call_id=1, record_tbs=False)]),
+        45,
+        "86b9ee0d1ee50d400e1f7e326a6ce2aa159adfd6301844043ec7bc5d17f7b0cc",
+    ),
+}
+
+
+class TestWatermarkSchedule:
+    @pytest.mark.parametrize("name", sorted(WATERMARK_SCHEDULES))
+    def test_schedule_is_pinned(self, name):
+        """Grouped watermark checks issue exactly the old calls, in order."""
+        config, calls, digest = WATERMARK_SCHEDULES[name]
+        log = _watermark_log(config)
+        assert len(log) == calls
+        assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == digest
+
+    def test_age_heap_eviction_is_exact(self):
+        """After every watermark the bounded indexes hold exactly the
+        records fed so far whose age is within the retention horizon."""
+        fed = {"packet": {}, "tb": {}}
+        checked = []
+
+        class Checked(RootCauseOperator):
+            def on_record(self, channel, record):
+                super().on_record(channel, record)
+                if channel == "packet":
+                    fed["packet"][record.packet_id] = record
+                elif channel == "tb":
+                    fed["tb"][record.tb_id] = record
+
+            def on_watermark(self, watermark_us):
+                super().on_watermark(watermark_us)
+                horizon = watermark_us - self.retention_us
+                assert set(self._packet_index) == {
+                    pid for pid, p in fed["packet"].items()
+                    if (p.capture_at(CapturePoint.SENDER) or 0) >= horizon
+                }
+                assert set(self._tb_index) == {
+                    tid for tid, tb in fed["tb"].items()
+                    if tb.slot_us >= horizon
+                }
+                checked.append(self.index_size())
+
+        op = Checked(retain_results=False)
+        tap = AnalysisTap([op], inner=InMemorySink(Trace()))
+        config = ScenarioConfig(duration_s=2.0, seed=13)
+        SessionBuilder(config, sink=tap).run()
+        # Watermarks advanced during the run and evicted entries.
+        assert len(checked) > 10
+        assert min(checked[1:-1]) > 0
+        assert max(checked) < len(fed["packet"]) + len(fed["tb"])
 
 
 class TestReplayFacades:
