@@ -24,8 +24,6 @@ ATH009    Record indexes are keyed by call (``(call_id, packet_id)``), not
 ATH010    No per-record ``json.dumps``/``dataclasses.asdict`` inside loops
 ATH100    Unit tags flow consistently across assignments, calls, and returns
           (whole-program dataflow over the unit-suffix discipline)
-ATH101    Every ``sink.emit(channel, record)`` matches the trace schema:
-          known channel, the channel's record type, boolean ``final=``
 ATH102    No two same-instant scheduled callbacks mutate shared state
           without an explicit ``priority=`` ordering them
 ========  ====================================================================

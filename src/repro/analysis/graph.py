@@ -1,18 +1,17 @@
 """Project-wide symbol and call graph for the whole-program rules.
 
 Per-file rules (ATH001–ATH010) see one ``ast.Module`` at a time; the v2
-rules (ATH100–ATH102) need to answer questions that span files: *which
-function does this call resolve to, and what are its parameters?* *what
-record type does ``Trace.packets`` hold?* *where was ``new_packet_id``
-actually defined?*
+rules (ATH100, ATH102) need to answer questions that span files: *which
+function does this call resolve to, and what are its parameters?* *where
+was ``new_packet_id`` actually defined?*
 
 :class:`ProjectGraph` parses every file once and builds:
 
 * a module table keyed by dotted module name (``src/repro/phy/ran.py`` →
   ``repro.phy.ran``), with per-module import maps resolved to absolute
   dotted origins (relative imports normalised against the package);
-* per-module symbol tables: top-level functions, classes (with methods,
-  dataclass fields, and base-class names), and top-level constants;
+* per-module symbol tables: top-level functions and classes (with methods,
+  dataclass fields, and base-class names);
 * a resolver that follows import chains — including re-exports such as
   ``repro.trace.schema.new_packet_id`` → ``repro.trace.ids.new_packet_id``
   — with a cycle guard, so import cycles degrade to "unresolved" instead of
@@ -68,7 +67,6 @@ class FieldInfo:
 
     name: str
     unit: Optional[str] = None
-    elem_class: Optional[str] = None  # X for List[X]/Optional[X] annotations
     has_default: bool = False
 
 
@@ -98,7 +96,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)  # local -> absolute dotted
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    constants: Dict[str, ast.expr] = field(default_factory=dict)  # top-level assigns
 
 
 def module_name_for(relpath: str) -> str:
@@ -122,26 +119,6 @@ def _dotted_parts(node: ast.expr) -> Optional[List[str]]:
     parts.append(node.id)
     parts.reverse()
     return parts
-
-
-def _annotation_elem_class(annotation: Optional[ast.expr]) -> Optional[str]:
-    """Element class name of ``List[X]`` / ``Optional[X]`` / plain ``X``."""
-    if annotation is None:
-        return None
-    if isinstance(annotation, ast.Subscript):
-        inner = annotation.slice
-        if isinstance(inner, ast.Tuple):  # Dict[K, V] -> value side
-            if not inner.elts:
-                return None
-            inner = inner.elts[-1]
-        return _annotation_elem_class(inner)
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value.rsplit(".", 1)[-1]
-    return None
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -216,7 +193,6 @@ def _build_class(node: ast.ClassDef, modname: str) -> ClassInfo:
                 name=stmt.target.id,
                 unit=unit_of_annotation(stmt.annotation)
                 or unit_of_name(stmt.target.id),
-                elem_class=_annotation_elem_class(stmt.annotation),
                 has_default=stmt.value is not None,
             )
     return info
@@ -292,13 +268,6 @@ class ProjectGraph:
                 module.functions[stmt.name] = build_function_info(stmt, modname)
             elif isinstance(stmt, ast.ClassDef):
                 module.classes[stmt.name] = _build_class(stmt, modname)
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    module.constants[target.id] = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                if isinstance(stmt.target, ast.Name):
-                    module.constants[stmt.target.id] = stmt.value
         self.modules[modname] = module
         self.by_relpath[relpath] = module
         return module
@@ -420,16 +389,4 @@ class ProjectGraph:
                 ParamInfo(name=f.name, unit=f.unit, has_default=f.has_default)
                 for f in cls_info.fields.values()
             ]
-        return None
-
-    def class_of_annotation(
-        self, module: ModuleInfo, annotation: Optional[ast.expr]
-    ) -> Optional[ClassInfo]:
-        """The :class:`ClassInfo` an annotation refers to, if resolvable."""
-        name = _annotation_elem_class(annotation)
-        if name is None:
-            return None
-        resolved = self._resolve_in_module(module, name.split("."), set())
-        if resolved and resolved[0] == "class":
-            return resolved[1]
         return None

@@ -4,7 +4,7 @@ Two rule scopes coexist:
 
 * **file** rules (ATH001–ATH010) see one :class:`LintContext` at a time and
   implement :meth:`Rule.check`;
-* **project** rules (ATH100–ATH102) see the whole
+* **project** rules (ATH100, ATH102) see the whole
   :class:`~repro.analysis.graph.ProjectGraph` and implement
   :meth:`ProjectRule.check_project`.
 """

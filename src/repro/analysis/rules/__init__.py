@@ -1,4 +1,4 @@
-"""The ATH001–ATH010 (per-file) and ATH100–ATH102 (project) rules.
+"""The ATH001–ATH010 (per-file) and ATH100, ATH102 (project) rules.
 
 Importing this package registers every rule with :mod:`repro.analysis.registry`.
 """
@@ -15,7 +15,6 @@ from . import (  # noqa: F401  (import for registration side effect)
     rng,
     serialization,
     trace_append,
-    trace_schema,
     unit_flow,
     unit_suffix,
     wallclock,

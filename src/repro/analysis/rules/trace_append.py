@@ -1,8 +1,9 @@
 """ATH007 — telemetry records go through a sink, not raw trace lists.
 
 Simulator components must emit records via the :class:`repro.trace.bus.TraceSink`
-layer (``sink.emit(channel, record)``).  Direct ``trace.<records>.append(...)``
-couples the emitter to in-memory retention: the record silently bypasses
+layer: ``sink.emit(record)``, where the record's class names its channel.
+Direct ``trace.<records>.append(...)`` couples the emitter to in-memory
+retention: the record silently bypasses
 the :class:`~repro.core.streaming.tap.AnalysisTap`, so live analysis and
 the mitigations it feeds never see it.  Only the trace package itself (the
 sink and the JSONL loader) may touch the
@@ -18,7 +19,8 @@ from ..common import LintContext
 from ..findings import Finding
 from ..registry import Rule, register
 
-#: The Trace record-list attributes (one per sink channel).
+#: The Trace record-list attributes (one per sink channel): a copy of
+#: ``CHANNEL_FIELDS.values()`` in :mod:`repro.trace.bus`, which a test pins.
 TRACE_RECORD_FIELDS = frozenset(
     {
         "packets",
@@ -40,7 +42,7 @@ class TraceAppendRule(Rule):
     id = "ATH007"
     name = "trace-append"
     summary = "record lists are sink-managed; components must not append"
-    hint = "emit through the TraceSink layer: sink.emit(channel, record)"
+    hint = "emit through the TraceSink layer: sink.emit(record)"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.exempt(self.id):

@@ -7,7 +7,7 @@ One serial run makes two passes over the collected files:
 
 1. **per-file** rules (ATH001–ATH010) on each file's
    :class:`~repro.analysis.common.LintContext`;
-2. **whole-program** rules (ATH100–ATH102) on one :class:`ProjectGraph`
+2. **whole-program** rules (ATH100, ATH102) on one :class:`ProjectGraph`
    built from every file.
 
 ``--format sarif`` / ``--sarif FILE`` emit GitHub code-scanning annotations.
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="athena-lint",
         description="Static analysis enforcing simulator determinism and "
         "unit-safety invariants (per-file rules ATH001-ATH010, "
-        "whole-program rules ATH100-ATH102).",
+        "whole-program rules ATH100, ATH102).",
     )
     parser.add_argument("paths", nargs="*",
                         help="files/directories to lint (default: from "

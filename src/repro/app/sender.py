@@ -131,7 +131,7 @@ class VcaSender:
         self.frames_by_id[frame_id] = frame
         # Render/stall accounting lands at playout; the jitter buffer (or
         # run teardown) finalizes the record.
-        self.topology.sink.emit("frame", frame, final=False)
+        self.topology.sink.emit(frame, final=False)
         self._send_burst(packets)
 
     def _send_burst(self, packets) -> None:
@@ -170,7 +170,7 @@ class VcaSender:
         )
         frame.packet_ids = [p.packet_id for p in packets]
         self.frames_by_id[frame_id] = frame
-        self.topology.sink.emit("frame", frame, final=False)
+        self.topology.sink.emit(frame, final=False)
         for packet in packets:
             self.topology.send_media(packet)
 

@@ -75,6 +75,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .trace.io import TraceFormatError
+
+    try:
+        print(_analysis_report(args))
+    except TraceFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _analysis_report(args: argparse.Namespace) -> str:
     if args.batch or args.synchronize:
         # The batch session loads the whole trace; --synchronize needs it
         # (clock alignment rewrites every capture before analysis).
@@ -83,8 +94,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         athena = AthenaSession.from_file(
             args.trace, synchronize=args.synchronize
         )
-        print(athena_report(athena))
-        return 0
+        return athena_report(athena)
     # Default: a single streaming pass; the file is never loaded whole.
     # Memory stays O(watermark window) on time-interleaved files; files
     # from save_trace are grouped by family, which is still correct but
@@ -96,8 +106,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     results = replay_file(args.trace, [StreamingReportOperator()])
-    print(render_streaming_report(results["report"]))
-    return 0
+    return render_streaming_report(results["report"])
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "lint",
         help="run athena-lint (determinism & unit-safety rules "
-             "ATH001-ATH010, ATH100-ATH102)",
+             "ATH001-ATH010, ATH100, ATH102)",
         add_help=False,
     )
 

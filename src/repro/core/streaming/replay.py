@@ -47,9 +47,9 @@ def replay_trace(
     same trace share objects with other consumers).
     """
     tap = AnalysisTap(operators, lateness_us=None)
-    for channel, attr in CHANNEL_FIELDS.items():
+    for attr in CHANNEL_FIELDS.values():
         for record in getattr(trace, attr):
-            tap.emit(channel, record, final=True)
+            tap.emit(record)
     tap.close()
     return tap.results
 
@@ -72,7 +72,7 @@ def replay_file(
             assert isinstance(record, dict)
             metadata.update(record)
             continue
-        tap.emit(tag, record, final=True)
+        tap.emit(record)
     tap.close()
     results = dict(tap.results)
     results["metadata"] = metadata

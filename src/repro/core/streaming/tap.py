@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import TimeUs, ms
-from ...trace.bus import CHANNELS, TraceSink
+from ...trace.bus import CHANNEL_OF, CHANNELS, TraceSink
 from ...trace.schema import (
     FrameRecord,
     GrantRecord,
@@ -127,9 +127,10 @@ class AnalysisTap(TraceSink):
         self.closed = False
 
     # -- TraceSink protocol --------------------------------------------
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
+    def emit(self, record: object, *, final: bool = True) -> None:
+        channel = CHANNEL_OF[type(record)]
         if self.inner is not None:
-            self.inner.emit(channel, record, final=final)
+            self.inner.emit(record, final=final)
         if final:
             self._deliver(channel, record)
         else:

@@ -185,7 +185,7 @@ class CallTopology:
         if self.record_packets and packet.kind in (MediaKind.VIDEO, MediaKind.AUDIO):
             # Packets keep mutating (capture stamps, RAN telemetry) until the
             # receiver tap or a drop; finalization follows at that point.
-            self.sink.emit("packet", packet, final=False)
+            self.sink.emit(packet, final=False)
         for listener in self.media_send_listeners:
             listener(packet, self.sim.now)
         self.uplink.send(packet, self._on_core)
@@ -252,7 +252,7 @@ class CallTopology:
             sent_us=self.clocks[CapturePoint.CORE].timestamp(self.sim.now),
             call_id=self.call_id,
         )
-        self.sink.emit("probe", record, final=False)
+        self.sink.emit(record, final=False)
 
         def reply(_pkt: PacketRecord, _t: TimeUs) -> None:
             self._probe_back.send(
@@ -314,7 +314,6 @@ class CallTopology:
         from ..trace.schema import SyncExchangeRecord
 
         self.sink.emit(
-            "sync",
             SyncExchangeRecord(
                 host=point.value,
                 t1=host_clock.timestamp(t_send),

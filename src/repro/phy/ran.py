@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..sim.engine import EventHandle, Simulator
 from ..sim.random import RngStreams
 from ..sim.units import TimeUs, US_PER_SEC
-from ..trace.bus import TraceSink
+from ..trace.bus import InMemorySink, TraceSink
 from ..trace.schema import PacketRecord, TransportBlockRecord
 from .mcs import bits_per_prb
 from .params import RanConfig
@@ -96,15 +96,13 @@ class RanSimulator:
         self.tdd = TddFrame(
             self.config.tdd_pattern, self.config.slot_us, fdd=self.config.fdd
         )
-        self.sink = sink
-        self.scheduler = GnbScheduler(self.config, self.tdd, sink=sink)
+        self.sink = sink if sink is not None else InMemorySink()
+        self.scheduler = GnbScheduler(self.config, self.tdd, sink=self.sink)
         self.scheduler.record_grants = record_grants
         self._ues: Dict[int, UePhy] = {}
         # The same UEs in attach order, rebuilt by add_ue: the slot loop
         # hands this list to the scheduler instead of re-listing the dict.
         self._ue_list: List[UePhy] = []
-        # Legacy accessor: populated only when no sink carries the records.
-        self.tb_log: List[TransportBlockRecord] = []
         self._record_tb_window = record_tb_window
         # Capacity windows: keyed by window index, kept in insertion order.
         # Accounting times are monotonic, so insertion order IS time order;
@@ -443,10 +441,7 @@ class RanSimulator:
                 )
             self._account_capacity(slot_us, result.tb)
             if alloc.ue.record_tbs and self._in_record_window(slot_us):
-                if self.sink is not None:
-                    self.sink.emit("tb", result.tb)
-                else:
-                    self.tb_log.append(result.tb)
+                self.sink.emit(result.tb)
 
     def _in_record_window(self, slot_us: TimeUs) -> bool:
         if self._record_tb_window is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from ..sim.units import TimeUs
-from ..trace.bus import TraceSink
+from ..trace.bus import InMemorySink, TraceSink
 from ..trace.schema import GrantRecord, TbKind
 from .bsr import quantize_buffer_bytes
 from .grants import PendingGrant
@@ -89,12 +89,10 @@ class GnbScheduler:
         self._reserved_prbs: Dict[TimeUs, int] = {}
         self._rr_offset = 0  # round-robin start for fairness
         self.advisor: Optional[GrantAdvisor] = None
-        self.sink = sink
+        self.sink = sink if sink is not None else InMemorySink()
         #: Invoked with the slot a new grant/reservation needs service at;
         #: the RAN's idle-eliding slot loop uses it to wake up early.
         self.wake_hook: Optional[Callable[[TimeUs], None]] = None
-        # Legacy accessor: populated only when no sink carries the records.
-        self.grant_log: List[GrantRecord] = []
         self.record_grants = False
 
     # ------------------------------------------------------------------
@@ -442,7 +440,4 @@ class GnbScheduler:
             bsr_us=grant.bsr_us,
             bsr_bytes=grant.bsr_bytes,
         )
-        if self.sink is not None:
-            self.sink.emit("grant", record)
-        else:
-            self.grant_log.append(record)
+        self.sink.emit(record)

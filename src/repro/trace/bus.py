@@ -1,19 +1,22 @@
 """Telemetry sinks: where simulator components hand their records.
 
 Components do not hold a :class:`~repro.trace.schema.Trace` and append to
-its lists; they emit each record on a named channel to a
-:class:`TraceSink`.  That keeps record *emission* apart from what receives
-it.  A session records into :class:`InMemorySink`, which keeps every record
-in a :class:`Trace` in emission order.  Live analysis wraps that sink in
-:class:`~repro.core.streaming.tap.AnalysisTap`, which forwards every call
-and also feeds the streaming operators.  Finished traces travel between
-processes and onto disk through the columnar codec
+its lists; they hand each record to a :class:`TraceSink` with
+``sink.emit(record)``.  That keeps record *emission* apart from what
+receives it.  A session records into :class:`InMemorySink`, which keeps
+every record in a :class:`Trace` in emission order.  Live analysis wraps
+that sink in :class:`~repro.core.streaming.tap.AnalysisTap`, which forwards
+every call and also feeds the streaming operators.  Finished traces travel
+between processes and onto disk through the columnar codec
 (:mod:`repro.trace.columnar`), and to files through :mod:`repro.trace.io`.
 Per-call views of a multi-call cell come from
 :meth:`~repro.trace.schema.Trace.for_call`.
 
-Channels mirror the record families (and the JSONL ``"type"`` tags):
-``packet``, ``tb``, ``grant``, ``frame``, ``probe``, ``sync``.
+The record's class names its channel.  :data:`CHANNEL_TABLE` is the one
+place that pairs each channel (also the JSONL ``"type"`` tag) with its
+record class and its ``Trace`` attribute: ``packet``, ``tb``, ``grant``,
+``frame``, ``probe``, ``sync``.  Emitting an instance of a class that is
+not in the table raises ``KeyError``.
 
 Mutable records (packets collect capture stamps along the path; frames get
 their render accounting at playout; probes their echo) are emitted with
@@ -24,21 +27,45 @@ earliest point an analysis may safely read it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .schema import Trace
+from .schema import (
+    FrameRecord,
+    GrantRecord,
+    PacketRecord,
+    ProbeRecord,
+    SyncExchangeRecord,
+    Trace,
+    TransportBlockRecord,
+)
 
-#: Emission channels, in the order families appear in a saved trace.
-CHANNELS = ("packet", "tb", "grant", "frame", "probe", "sync")
+#: Channel -> (record class, Trace attribute holding that family's
+#: records), in the order families appear in a saved trace.
+CHANNEL_TABLE: Dict[str, Tuple[type, str]] = {
+    "packet": (PacketRecord, "packets"),
+    "tb": (TransportBlockRecord, "transport_blocks"),
+    "grant": (GrantRecord, "grants"),
+    "frame": (FrameRecord, "frames"),
+    "probe": (ProbeRecord, "probes"),
+    "sync": (SyncExchangeRecord, "sync_exchanges"),
+}
+
+#: Emission channels, in saved-trace order.
+CHANNELS = tuple(CHANNEL_TABLE)
 
 #: Channel -> Trace attribute holding that family's records.
 CHANNEL_FIELDS: Dict[str, str] = {
-    "packet": "packets",
-    "tb": "transport_blocks",
-    "grant": "grants",
-    "frame": "frames",
-    "probe": "probes",
-    "sync": "sync_exchanges",
+    channel: attr for channel, (_, attr) in CHANNEL_TABLE.items()
+}
+
+#: Channel -> record class, for the decoders.
+RECORD_CLASSES: Dict[str, type] = {
+    channel: cls for channel, (cls, _) in CHANNEL_TABLE.items()
+}
+
+#: Record class -> channel, for the sinks.
+CHANNEL_OF: Dict[type, str] = {
+    cls: channel for channel, (cls, _) in CHANNEL_TABLE.items()
 }
 
 
@@ -49,8 +76,8 @@ class TraceSink:
     default to no-ops.
     """
 
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        """Accept one record on ``channel``.
+    def emit(self, record: object, *, final: bool = True) -> None:
+        """Accept one record on the channel its class names.
 
         ``final=False`` marks a record that will still be mutated by the
         emitter; the matching :meth:`finalize` call (or :meth:`close`)
@@ -82,8 +109,8 @@ class InMemorySink(TraceSink):
     def __init__(self, trace: Optional[Trace] = None) -> None:
         self.trace = trace if trace is not None else Trace()
 
-    def emit(self, channel: str, record: object, *, final: bool = True) -> None:
-        getattr(self.trace, CHANNEL_FIELDS[channel]).append(record)
+    def emit(self, record: object, *, final: bool = True) -> None:
+        getattr(self.trace, CHANNEL_FIELDS[CHANNEL_OF[type(record)]]).append(record)
 
     def set_metadata(self, metadata: Dict[str, object]) -> None:
         self.trace.metadata.update(metadata)

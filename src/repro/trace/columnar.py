@@ -41,20 +41,8 @@ import operator
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
-from .bus import CHANNEL_FIELDS, CHANNELS
-from .schema import (
-    FrameRecord,
-    GrantRecord,
-    MediaKind,
-    PacketRecord,
-    ProbeRecord,
-    RanPacketTelemetry,
-    RtpInfo,
-    SyncExchangeRecord,
-    TbKind,
-    Trace,
-    TransportBlockRecord,
-)
+from .bus import CHANNEL_FIELDS, CHANNELS, RECORD_CLASSES
+from .schema import MediaKind, RanPacketTelemetry, RtpInfo, TbKind, Trace
 
 #: Sentinel encoding ``None`` in optional integer columns.  Simulation
 #: quantities (microsecond timestamps, sizes, ids) never reach +/-2**62.
@@ -478,89 +466,72 @@ _RAN_KINDS: Dict[str, object] = {
     "tb_ids": "intlist",
 }
 
-#: channel -> (record type, field-name -> column kind).  Kinds are either a
-#: string tag or a tuple carrying the enum/struct type information.
-CHANNEL_SCHEMAS: Dict[str, Tuple[Type, Dict[str, object]]] = {
-    "packet": (
-        PacketRecord,
-        {
-            "packet_id": "int",
-            "flow_id": "str",
-            "kind": ("enum", MediaKind),
-            "size_bytes": "int",
-            "rtp": ("struct", RtpInfo, _RTP_KINDS),
-            "captures": "captures",
-            "ran": ("struct", RanPacketTelemetry, _RAN_KINDS),
-            "dropped": "bool",
-            "call_id": "optint",
-        },
-    ),
-    "tb": (
-        TransportBlockRecord,
-        {
-            "tb_id": "int",
-            "ue_id": "int",
-            "slot_us": "int",
-            "kind": ("enum", TbKind),
-            "size_bits": "int",
-            "used_bits": "int",
-            "packet_ids": "intlist",
-            "harq_rounds": "int",
-            "failed_slot_us": "intlist",
-            "delivered_us": "optint",
-        },
-    ),
-    "grant": (
-        GrantRecord,
-        {
-            "grant_id": "int",
-            "ue_id": "int",
-            "kind": ("enum", TbKind),
-            "issued_us": "int",
-            "usable_slot_us": "int",
-            "size_bits": "int",
-            "bsr_us": "optint",
-            "bsr_bytes": "optint",
-        },
-    ),
-    "frame": (
-        FrameRecord,
-        {
-            "frame_id": "int",
-            "stream": "str",
-            "capture_us": "int",
-            "encode_done_us": "int",
-            "size_bytes": "int",
-            "svc_layer": "int",
-            "target_fps": "float",
-            "packet_ids": "intlist",
-            "ssim": "optfloat",
-            "rendered_us": "optint",
-            "display_duration_us": "optint",
-            "stalled": "bool",
-            "call_id": "optint",
-        },
-    ),
-    "probe": (
-        ProbeRecord,
-        {
-            "probe_id": "int",
-            "sent_us": "int",
-            "received_us": "optint",
-            "call_id": "optint",
-        },
-    ),
-    "sync": (
-        SyncExchangeRecord,
-        {
-            "host": "str",
-            "t1": "int",
-            "t2": "int",
-            "t3": "int",
-            "t4": "int",
-            "call_id": "optint",
-        },
-    ),
+#: channel -> (field-name -> column kind).  Kinds are either a string tag
+#: or a tuple carrying the enum/struct type information.  The record class
+#: of each channel comes from :data:`repro.trace.bus.CHANNEL_TABLE`.
+CHANNEL_SCHEMAS: Dict[str, Dict[str, object]] = {
+    "packet": {
+        "packet_id": "int",
+        "flow_id": "str",
+        "kind": ("enum", MediaKind),
+        "size_bytes": "int",
+        "rtp": ("struct", RtpInfo, _RTP_KINDS),
+        "captures": "captures",
+        "ran": ("struct", RanPacketTelemetry, _RAN_KINDS),
+        "dropped": "bool",
+        "call_id": "optint",
+    },
+    "tb": {
+        "tb_id": "int",
+        "ue_id": "int",
+        "slot_us": "int",
+        "kind": ("enum", TbKind),
+        "size_bits": "int",
+        "used_bits": "int",
+        "packet_ids": "intlist",
+        "harq_rounds": "int",
+        "failed_slot_us": "intlist",
+        "delivered_us": "optint",
+    },
+    "grant": {
+        "grant_id": "int",
+        "ue_id": "int",
+        "kind": ("enum", TbKind),
+        "issued_us": "int",
+        "usable_slot_us": "int",
+        "size_bits": "int",
+        "bsr_us": "optint",
+        "bsr_bytes": "optint",
+    },
+    "frame": {
+        "frame_id": "int",
+        "stream": "str",
+        "capture_us": "int",
+        "encode_done_us": "int",
+        "size_bytes": "int",
+        "svc_layer": "int",
+        "target_fps": "float",
+        "packet_ids": "intlist",
+        "ssim": "optfloat",
+        "rendered_us": "optint",
+        "display_duration_us": "optint",
+        "stalled": "bool",
+        "call_id": "optint",
+    },
+    "probe": {
+        "probe_id": "int",
+        "sent_us": "int",
+        "received_us": "optint",
+        "call_id": "optint",
+    },
+    "sync": {
+        "host": "str",
+        "t1": "int",
+        "t2": "int",
+        "t3": "int",
+        "t4": "int",
+        "call_id": "optint",
+    },
 }
 
 
@@ -613,10 +584,11 @@ class ChannelStore:
     """
 
     def __init__(self, channel: str, records: Sequence[object] = ()) -> None:
-        record_type, field_kinds = CHANNEL_SCHEMAS[channel]
         self.channel = channel
-        self.record_type = record_type
-        self.names, self.columns = _build_columns(record_type, field_kinds)
+        self.record_type = RECORD_CLASSES[channel]
+        self.names, self.columns = _build_columns(
+            self.record_type, CHANNEL_SCHEMAS[channel]
+        )
         self._has_call_id = "call_id" in self.names
         self._cache: Dict[int, object] = {}  # row -> materialized record
         self.rows = len(records)

@@ -11,31 +11,19 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Tuple, Type, Union
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
-from .bus import CHANNEL_FIELDS
+from .bus import CHANNEL_FIELDS, RECORD_CLASSES
 from .schema import (
-    FrameRecord,
-    GrantRecord,
     MediaKind,
     PacketRecord,
-    ProbeRecord,
     RanPacketTelemetry,
     RtpInfo,
-    SyncExchangeRecord,
     TbKind,
     Trace,
     TransportBlockRecord,
 )
 
-_RECORD_TYPES: Dict[str, Type] = {
-    "packet": PacketRecord,
-    "tb": TransportBlockRecord,
-    "grant": GrantRecord,
-    "frame": FrameRecord,
-    "probe": ProbeRecord,
-    "sync": SyncExchangeRecord,
-}
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed."""
@@ -91,10 +79,7 @@ def _record_from_dict(tag: str, data: dict) -> object:
         return _packet_from_dict(data)
     if tag == "tb":
         return _tb_from_dict(data)
-    cls = _RECORD_TYPES.get(tag)
-    if cls is None:
-        raise TraceFormatError(f"unknown record type: {tag!r}")
-    return cls(**data)
+    return RECORD_CLASSES[tag](**data)
 
 
 #: Rows per batch in the chunked JSONL encoder.
@@ -181,7 +166,9 @@ def iter_trace_records(
     file — this is what the streaming analysis path
     (:mod:`repro.core.streaming`) and ``athena-repro analyze`` iterate.
     ``tag`` is a channel name from :data:`repro.trace.bus.CHANNELS`, except
-    for ``"meta"`` lines, which yield their raw metadata ``dict``.
+    for ``"meta"`` lines, which yield their raw metadata ``dict``.  A line
+    that does not parse into a record raises :class:`TraceFormatError`
+    naming ``path`` and the line number.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -193,17 +180,25 @@ def iter_trace_records(
                 data = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"{path}:{line_no}: invalid JSON") from exc
+            if not isinstance(data, dict):
+                raise TraceFormatError(f"{path}:{line_no}: not a JSON object")
             tag = data.pop("type", None)
             if tag is None:
                 raise TraceFormatError(f"{path}:{line_no}: missing 'type' tag")
             if tag == "meta":
                 yield "meta", data
                 continue
-            if tag not in CHANNEL_FIELDS:
+            if not isinstance(tag, str) or tag not in CHANNEL_FIELDS:
                 raise TraceFormatError(
                     f"{path}:{line_no}: unknown record type: {tag!r}"
                 )
-            yield tag, _record_from_dict(tag, data)
+            try:
+                record = _record_from_dict(tag, data)
+            except (TypeError, KeyError, ValueError) as exc:
+                raise TraceFormatError(
+                    f"{path}:{line_no}: malformed {tag!r} record: {exc!r}"
+                ) from exc
+            yield tag, record
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

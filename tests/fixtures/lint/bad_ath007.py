@@ -11,4 +11,4 @@ class Recorder:
         self.trace = trace
 
     def on_frame(self, frame):
-        self.trace.frames.append(frame)  # line 14: sink.emit("frame", ...)
+        self.trace.frames.append(frame)  # line 14: should be sink.emit(frame)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_source, main
+from repro.analysis.rules.trace_append import TRACE_RECORD_FIELDS
 from repro.analysis.rules.unit_suffix import needs_unit_suffix
+from repro.trace.bus import CHANNEL_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -213,8 +215,13 @@ class TestTraceAppendRule:
         assert lint_source(src, rule_ids=["ATH007"]) == []
 
     def test_sink_emit_ok(self):
-        src = "sink.emit('packet', p, final=False)\n"
+        src = "sink.emit(p, final=False)\n"
         assert lint_source(src, rule_ids=["ATH007"]) == []
+
+    def test_record_fields_are_the_channel_table_fields(self):
+        # athena-lint imports nothing from the simulator, so the rule keeps
+        # its own copy of the Trace record-list names.
+        assert TRACE_RECORD_FIELDS == frozenset(CHANNEL_FIELDS.values())
 
     def test_trace_package_exempt_via_options(self):
         src = "self.trace.packets.append(record)\n"

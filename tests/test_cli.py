@@ -78,6 +78,17 @@ class TestCommands:
         assert rc == 2
         assert "unknown sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--batch"]], ids=["streaming", "batch"])
+    def test_analyze_malformed_trace(self, tmp_path, capsys, mode):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"type": "meta"}\n{"type": "grant", "bogus": 1}\n')
+        rc = main(["analyze", str(path), *mode])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path}:2:" in err
+        assert "Traceback" not in err
+
 
 class TestReproduceAll:
     def test_parser_accepts(self):

@@ -62,7 +62,7 @@ def _ran_observables(elide, channel_factory, traffic_times_us, duration_us,
         "tbs": [
             (tb.slot_us, tb.ue_id, tb.kind, tb.size_bits, tb.used_bits,
              tb.harq_rounds, tuple(tb.packet_ids))
-            for tb in ran.tb_log
+            for tb in ran.sink.trace.transport_blocks
         ],
         "capacity": [
             (w.start_us, w.granted_bits, w.used_bits)

@@ -38,5 +38,5 @@ def test_lint_rules_all_registered():
     assert sorted(RULES) == [
         "ATH001", "ATH002", "ATH003", "ATH004", "ATH005", "ATH006",
         "ATH007", "ATH008", "ATH009", "ATH010",
-        "ATH100", "ATH101", "ATH102",
+        "ATH100", "ATH102",
     ]

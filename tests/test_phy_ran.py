@@ -59,7 +59,7 @@ class TestSchedulingDelaySpread:
         _send_burst(sim, ran, ms(5.0))
         sim.run_until(ms(60.0))
         proactive_used = [
-            tb for tb in ran.tb_log
+            tb for tb in ran.sink.trace.transport_blocks
             if tb.kind == TbKind.PROACTIVE and not tb.is_empty
         ]
         assert proactive_used
@@ -71,9 +71,11 @@ class TestSchedulingDelaySpread:
         _send_burst(sim, ran, ms(5.0))
         sim.run_until(ms(60.0))
         first_data_slot = min(
-            tb.slot_us for tb in ran.tb_log if not tb.is_empty
+            tb.slot_us for tb in ran.sink.trace.transport_blocks
+            if not tb.is_empty
         )
-        requested = [tb for tb in ran.tb_log if tb.kind == TbKind.REQUESTED]
+        requested = [tb for tb in ran.sink.trace.transport_blocks
+                     if tb.kind == TbKind.REQUESTED]
         assert requested
         first_requested = min(tb.slot_us for tb in requested)
         # "typically around 10 ms after the initial packet transmission"
@@ -85,7 +87,8 @@ class TestSchedulingDelaySpread:
         for k in range(10):
             _send_burst(sim, ran, ms(5.0) + k * ms(35.0))
         sim.run_until(ms(400.0))
-        requested = [tb for tb in ran.tb_log if tb.kind == TbKind.REQUESTED]
+        requested = [tb for tb in ran.sink.trace.transport_blocks
+                     if tb.kind == TbKind.REQUESTED]
         assert requested
         used_fraction = sum(tb.used_bits for tb in requested) / sum(
             tb.size_bits for tb in requested
@@ -96,7 +99,7 @@ class TestSchedulingDelaySpread:
         sim = Simulator()
         ran = RanSimulator(sim, RanConfig(), RngStreams(1))
         sim.run_until(ms(20.0))
-        assert ran.tb_log == []
+        assert ran.sink.trace.transport_blocks == []
 
 
 class TestHarqDelayInflation:
@@ -146,7 +149,7 @@ class TestHarqDelayInflation:
         sim.every(ms(5.0), lambda: ran.send_uplink(2, _packet()))
         sim.run_until(ms(200.0))
         empty_retx = [
-            tb for tb in ran.tb_log
+            tb for tb in ran.sink.trace.transport_blocks
             if tb.ue_id == 1 and tb.is_empty and tb.is_retx
         ]
         assert empty_retx  # "mandates the UE to retransmit empty ... TBs"

@@ -275,7 +275,7 @@ class TestWatermarkEdgeCases:
         # advance (a TB at any slot could still arrive) and everything
         # stays buffered until close.
         for pid in range(1, 6):
-            tap.emit("packet", self._packet(pid, pid * 100_000))
+            tap.emit(self._packet(pid, pid * 100_000))
         assert op.buffered_count() == 5
         tap.close()
         assert op.buffered_count() == 0

@@ -228,7 +228,7 @@ def _scalar_fields(channel):
     scalar = ("int", "optint", "float", "optfloat", "bool", "str")
     return [
         name
-        for name, kind in CHANNEL_SCHEMAS[channel][1].items()
+        for name, kind in CHANNEL_SCHEMAS[channel].items()
         if kind in scalar or (isinstance(kind, tuple) and kind[0] == "enum")
     ]
 

@@ -1,6 +1,7 @@
 """Tests for trace persistence (JSONL round-trip, CSV export)."""
 
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,25 @@ def test_load_rejects_unknown_type(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"type": "mystery"}) + "\n")
     with pytest.raises(TraceFormatError):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        {"type": "grant", "bogus": 1},  # TypeError
+        {"type": "packet", "packet_id": 1},  # KeyError: 'flow_id'
+        {"type": "tb", "kind": "nope"},  # ValueError: not a TbKind
+        [1, 2],  # TypeError: list.pop takes no default
+        {"type": ["tb"]},  # TypeError: unhashable tag
+    ],
+    ids=["unknown-field", "missing-field", "bad-enum", "not-an-object",
+         "unhashable-type"],
+)
+def test_load_rejects_malformed_record(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"type": "meta"}) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}:2: "):
         load_trace(path)
 
 
