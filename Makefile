@@ -25,8 +25,12 @@ test:
 claims:
 	$(PYTHON) -m pytest benchmarks --benchmark-disable -q
 
+# The smoke sweep, then one trace through the JSONL writer and back through
+# the streaming reader.
 smoke:
 	$(PYTHON) -m repro sweep --smoke
+	$(PYTHON) -m repro run --duration 2 --out /tmp/athena-smoke-trace.jsonl
+	$(PYTHON) -m repro analyze /tmp/athena-smoke-trace.jsonl
 
 # Two calls sharing one cell, through the batch executor (per-call QoE rows).
 smoke-multicall:

@@ -22,7 +22,7 @@ from ..media.svc import CAPTURE_SLOT_US, FpsMode, layer_for_slot, nominal_fps
 from ..net.packet import AUDIO_SSRC, VIDEO_SSRC
 from ..net.topology import CallTopology
 from ..sim.engine import Simulator
-from ..sim.units import TimeUs, ms
+from ..sim.units import TimeUs
 from ..trace.ids import IdSpace, new_frame_id
 from ..trace.schema import FrameRecord, MediaKind, PacketRecord
 from .adaptation import ZoomAdaptationPolicy

@@ -53,15 +53,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cross = CrossTrafficConfig(
             phases=[CrossTrafficPhase(0, args.cross_mbps * 1_000)]
         )
-    config = ScenarioConfig(
-        duration_s=args.duration,
-        seed=args.seed,
-        access=args.access,
-        cross_traffic=cross,
-        record_tbs=args.access == "5g",
-        aware_ran=args.aware_ran,
-        mask_ran_delay=args.mask_ran_delay,
-    )
+    try:
+        config = ScenarioConfig(
+            duration_s=args.duration,
+            seed=args.seed,
+            access=args.access,
+            cross_traffic=cross,
+            record_tbs=args.access == "5g",
+            aware_ran=args.aware_ran,
+            mask_ran_delay=args.mask_ran_delay,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"Running {args.duration:.0f} s {args.access} session "
           f"(seed {args.seed}) ...")
     result = run_session(config)
@@ -79,7 +83,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     try:
         print(_analysis_report(args))
-    except TraceFormatError as exc:
+    except (TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

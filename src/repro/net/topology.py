@@ -91,6 +91,15 @@ class PathConfig:
     # Clock offsets of each capture host relative to true time (NTP residuals).
     clock_offsets_us: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        hosts = sorted(point.value for point in CapturePoint)
+        for host, offset in self.clock_offsets_us.items():
+            if type(host) is not str or host not in hosts or type(offset) is not int:
+                raise ValueError(
+                    f"clock_offsets_us maps a host in {hosts} to int us, "
+                    f"not {host!r}: {offset!r}"
+                )
+
 
 class CallTopology:
     """One call's media direction plus its feedback channel and prober.

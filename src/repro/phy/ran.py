@@ -29,7 +29,7 @@ the two paths emit byte-identical telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import EventHandle, Simulator
 from ..sim.random import RngStreams

@@ -67,10 +67,10 @@ class UePhy:
         config: RanConfig,
         tdd: TddFrame,
         rng: np.random.Generator,
+        trace_sink: TraceSink,
         channel: Optional[object] = None,
         proactive: Optional[bool] = None,
         record_tbs: bool = False,
-        trace_sink: Optional[TraceSink] = None,
     ) -> None:
         self.ue_id = ue_id
         self._sim = sim
@@ -242,9 +242,8 @@ class UePhy:
             self.packets_lost += 1
             self._progress.pop(packet.packet_id, None)
             self._rlc_retries.pop(packet.packet_id, None)
-            if self._trace_sink is not None:
-                # The record never reaches the receiver tap: terminal here.
-                self._trace_sink.finalize(packet)
+            # The record never reaches the receiver tap: terminal here.
+            self._trace_sink.finalize(packet)
             return
         delivered = max(progress.decode_times)
         nominal = max(progress.nominal_times)

@@ -166,10 +166,10 @@ def _run_one(task: Tuple[RunSpec, Collector]) -> Any:
 def _run_cache_entry(config: ScenarioConfig) -> Tuple[bytes, bytes]:
     """Worker for cache-backed batches: simulate, return the cache value.
 
-    The worker ships ``(ATHC2 payload, pickled summary)`` and the
-    *parent* stores the entry and applies the collector to the rehydrated
-    result, so cache hits and misses flow through the identical
-    rehydration path (and the collector need not be picklable).
+    The worker ships ``(ATHC2 payload, JSON summary)`` and the *parent*
+    stores the entry and applies the collector to the rehydrated result,
+    so cache hits and misses flow through the identical rehydration path
+    (and the collector need not be picklable).
     """
     return cache_entry_from_result(run_session(config))
 
@@ -341,13 +341,11 @@ def run_batch(
     else:
         miss_keys: List[str] = []
         for key, i in first_index.items():
-            blobs = cache.get(key.split("#")[0])
-            if blobs is None:
+            hit = cache.get_result(specs[i].config, key=key.split("#")[0])
+            if hit is None:
                 miss_keys.append(key)
             else:
-                values_by_key[key] = collect(
-                    rehydrate_result(specs[i].config, *blobs)
-                )
+                values_by_key[key] = collect(hit)
         miss_specs = [specs[first_index[key]] for key in miss_keys]
         miss_configs = [spec.config for spec in miss_specs]
         entries = _map_tasks(

@@ -15,11 +15,11 @@ same derivation-keying discipline build systems use:
   builtins, key order canonicalized — salted with :func:`code_version_token`
   (package version + a hash of the simulator source tree), so *any* code
   change self-invalidates;
-* values are the ``ATHC2`` columnar trace payload plus a small pickled
-  :class:`RunSummary` (per-call specs and live-diagnosis counts), stored
-  one file per entry under ``.athena-cache/`` with a JSON index, a size
-  cap, and LRU eviction ordered by a logical access tick (no wall clock —
-  ATH001 applies here too);
+* values are the ``ATHC2`` columnar trace payload plus a small JSON
+  summary of the live-diagnosis cause counts (the calls are rebuilt from
+  the config), stored one file per entry under ``.athena-cache/`` with a
+  JSON index, a size cap, and LRU eviction ordered by a logical access
+  tick (no wall clock — ATH001 applies here too);
 * hits rehydrate through
   :func:`~repro.trace.columnar.trace_from_payload` into a
   :class:`CachedSessionResult` that duck-types the trace/QoE/diagnosis
@@ -28,10 +28,11 @@ same derivation-keying discipline build systems use:
   simulation.
 
 Corruption is treated as absence: a truncated or tampered entry file fails
-its length check, the entry is dropped, and the scenario is simulated and
-re-stored.  Concurrent writers are safe through atomic ``os.replace`` —
-entries are content-addressed, so two processes racing on one key write
-identical bytes.
+its length check, or its summary is not this layout's JSON (an older pickled
+one included); the entry is dropped, counted as a miss, and the scenario is
+simulated and re-stored.  Concurrent writers are safe through atomic
+``os.replace`` — entries are content-addressed, so two processes racing on
+one key write identical bytes.
 """
 
 from __future__ import annotations
@@ -41,23 +42,24 @@ import enum
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from ..core.rootcause import DelayCause
 from ..media.quality import QoeSummary, qoe_summary
 from .scenario import CallSpec, ScenarioConfig
 
 if TYPE_CHECKING:
+    from ..core.streaming.live import LiveDiagnosis
     from ..trace.columnar import ColumnarTrace
     from .scenario import SessionResult
 
 #: Bump when the entry layout or summary contents change; stale caches are
 #: discarded wholesale (the code-version salt handles simulator changes).
-CACHE_SCHEMA = "athena-cache/1"
+CACHE_SCHEMA = "athena-cache/2"
 
 DEFAULT_CACHE_DIR = ".athena-cache"
 
@@ -65,8 +67,8 @@ DEFAULT_CACHE_DIR = ".athena-cache"
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Entry-file magic: summary length + payload length follow as 8-byte
-#: big-endian integers, then the pickled summary, then the ATHC2 payload.
-_ENTRY_MAGIC = b"ATHE1\n"
+#: big-endian integers, then the JSON summary, then the ATHC2 payload.
+_ENTRY_MAGIC = b"ATHE2\n"
 
 #: Subpackages whose sources feed the code-version salt.  These are the
 #: layers a running scenario executes (``core`` is included because the
@@ -211,54 +213,16 @@ def scenario_fingerprint(
 # ----------------------------------------------------------------------
 @dataclass
 class CachedDiagnosis:
-    """The picklable slice of a live diagnosis feed collectors read."""
+    """The slice of a live diagnosis feed collectors read."""
 
     cause_counts: Counter = field(default_factory=Counter)
 
-    def cause_share(self, cause: str) -> float:
+    def cause_share(self, cause: DelayCause) -> float:
         """Fraction of diagnosed frames attributed to ``cause``."""
         total = sum(self.cause_counts.values())
         if total == 0:
             return 0.0
         return self.cause_counts[cause] / total
-
-
-@dataclass
-class CallSummary:
-    """One call's picklable summary inside a cache entry."""
-
-    spec: CallSpec
-    ue_id: int
-    cause_counts: Optional[Dict[str, int]] = None
-
-
-@dataclass
-class RunSummary:
-    """Everything a cache entry keeps beyond the trace payload."""
-
-    multicall: bool
-    calls: List[CallSummary]
-    cause_counts: Optional[Dict[str, int]] = None
-
-
-def summarize_result(result: "SessionResult") -> RunSummary:
-    """Reduce a finished session to its picklable cache summary."""
-    return RunSummary(
-        multicall=result.config.multicall,
-        calls=[
-            CallSummary(
-                spec=call.spec,
-                ue_id=call.ue_id,
-                cause_counts=dict(call.diagnosis.cause_counts)
-                if call.diagnosis is not None
-                else None,
-            )
-            for call in result.calls
-        ],
-        cause_counts=dict(result.diagnosis.cause_counts)
-        if result.diagnosis is not None
-        else None,
-    )
 
 
 @dataclass
@@ -289,23 +253,21 @@ class CachedSessionResult:
     every module-level collector in :mod:`repro.run.batch` reads.  Live
     simulator handles (``sim``, ``sender``, ``ran``, …) do not survive a
     round trip through the store; collectors needing them must run
-    uncached.
+    uncached.  The calls come from ``config``, as the session built them;
+    only the diagnoses come from the stored summary.
     """
 
     def __init__(
         self,
         config: ScenarioConfig,
         trace: "ColumnarTrace",
-        summary: RunSummary,
+        diagnosis: Optional[CachedDiagnosis],
+        call_diagnoses: List[Optional[CachedDiagnosis]],
     ) -> None:
         self.config = config
         self.trace = trace
-        self.summary = summary
-        self.diagnosis: Optional[CachedDiagnosis] = (
-            CachedDiagnosis(Counter(summary.cause_counts))
-            if summary.cause_counts is not None
-            else None
-        )
+        self.diagnosis = diagnosis
+        self._call_diagnoses = call_diagnoses
         self._calls: Optional[List[CachedCallResult]] = None
 
     @property
@@ -314,16 +276,16 @@ class CachedSessionResult:
         if self._calls is None:
             self._calls = [
                 CachedCallResult(
-                    spec=entry.spec,
-                    ue_id=entry.ue_id,
-                    trace=self.trace.for_call(entry.spec.call_id, entry.ue_id)
-                    if self.summary.multicall
+                    spec=spec,
+                    ue_id=spec.resolved_ue_id(),
+                    trace=self.trace.for_call(spec.call_id, spec.resolved_ue_id())
+                    if self.config.multicall
                     else self.trace,
-                    diagnosis=CachedDiagnosis(Counter(entry.cause_counts))
-                    if entry.cause_counts is not None
-                    else None,
+                    diagnosis=diagnosis,
                 )
-                for entry in self.summary.calls
+                for spec, diagnosis in zip(
+                    self.config.effective_calls(), self._call_diagnoses
+                )
             ]
         return self._calls
 
@@ -343,27 +305,61 @@ class CachedSessionResult:
         return {result.call_id: result.qoe() for result in self.calls}
 
 
+def _counts_json(diagnosis: Optional["LiveDiagnosis"]) -> Optional[Dict[str, int]]:
+    """A live diagnosis feed's cause counts keyed by cause value."""
+    if diagnosis is None:
+        return None
+    return {cause.value: n for cause, n in diagnosis.cause_counts.items()}
+
+
+def _diagnosis_from_json(value: object) -> Optional[CachedDiagnosis]:
+    """Inverse of :func:`_counts_json`; ValueError on anything else."""
+    if value is None:
+        return None
+    if not isinstance(value, dict) or any(type(n) is not int for n in value.values()):
+        raise ValueError("cause counts are not a {cause: count} object")
+    return CachedDiagnosis(Counter({DelayCause(c): n for c, n in value.items()}))
+
+
 def cache_entry_from_result(result: "SessionResult") -> Tuple[bytes, bytes]:
-    """``(ATHC2 payload, pickled summary)`` for a freshly-simulated run."""
+    """``(ATHC2 payload, JSON summary)`` for a freshly-simulated run.
+
+    The summary holds only what the config cannot rebuild: the live
+    diagnosis cause counts of the session and of each call.
+    """
     from ..trace.columnar import encode_payload
 
-    payload = encode_payload(result.trace)
-    summary = pickle.dumps(
-        summarize_result(result), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    return payload, summary
+    summary = {
+        "cause_counts": _counts_json(result.diagnosis),
+        "calls": [_counts_json(call.diagnosis) for call in result.calls],
+    }
+    return encode_payload(result.trace), json.dumps(summary).encode("utf-8")
 
 
 def rehydrate_result(
     config: ScenarioConfig, payload: bytes, summary_blob: bytes
 ) -> CachedSessionResult:
-    """Rebuild a collector-ready result from one cache entry's bytes."""
+    """Rebuild a collector-ready result from one cache entry's bytes.
+
+    Raises :class:`ValueError` when ``summary_blob`` is not a summary this
+    layout writes for ``config``: not JSON (an older pickled summary), an
+    unknown cause, or a call list whose length is not the config's.
+    """
     from ..trace.columnar import trace_from_payload
 
+    summary = json.loads(summary_blob)
+    if (
+        not isinstance(summary, dict)
+        or set(summary) != {"cause_counts", "calls"}
+        or not isinstance(summary["calls"], list)
+        or len(summary["calls"]) != len(config.effective_calls())
+    ):
+        raise ValueError("cache summary does not fit this layout and config")
     return CachedSessionResult(
         config=config,
         trace=trace_from_payload(payload),
-        summary=pickle.loads(summary_blob),
+        diagnosis=_diagnosis_from_json(summary["cause_counts"]),
+        call_diagnoses=[_diagnosis_from_json(c) for c in summary["calls"]],
     )
 
 
@@ -459,14 +455,18 @@ class ScenarioCache:
             return None
         blobs = self._read_entry(key)
         if blobs is None:
-            self._drop(key)
-            self.save()
-            self.misses += 1
+            self._drop_corrupt(key)
             return None
         self.hits += 1
         self._tick += 1
         entry["tick"] = self._tick
         return blobs
+
+    def _drop_corrupt(self, key: str) -> None:
+        """Count an unreadable entry as a miss and delete it."""
+        self._drop(key)
+        self.save()
+        self.misses += 1
 
     def _read_entry(self, key: str) -> Optional[Tuple[bytes, bytes]]:
         try:
@@ -524,12 +524,26 @@ class ScenarioCache:
             pass
 
     # -- scenario-level conveniences ------------------------------------
-    def get_result(self, config: ScenarioConfig) -> Optional[CachedSessionResult]:
-        """Look up and rehydrate one scenario, or None on miss."""
-        blobs = self.get(scenario_fingerprint(config))
+    def get_result(
+        self, config: ScenarioConfig, key: Optional[str] = None
+    ) -> Optional[CachedSessionResult]:
+        """Look up and rehydrate one scenario, or None on miss.
+
+        ``key`` is ``config``'s fingerprint when the caller has it already.
+        An entry whose summary does not decode for ``config`` is corrupt:
+        it is dropped and counted as a miss, not a hit.
+        """
+        if key is None:
+            key = scenario_fingerprint(config)
+        blobs = self.get(key)
         if blobs is None:
             return None
-        return rehydrate_result(config, *blobs)
+        try:
+            return rehydrate_result(config, *blobs)
+        except ValueError:
+            self.hits -= 1
+            self._drop_corrupt(key)
+            return None
 
     def put_result(self, config: ScenarioConfig, result: "SessionResult") -> None:
         """Store one freshly-simulated run under its fingerprint."""

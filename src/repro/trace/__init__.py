@@ -9,7 +9,6 @@ from .io import (
     iter_trace_records,
     load_trace,
     save_trace,
-    write_trace_jsonl,
 )
 from .schema import (
     CapturePoint,
@@ -52,5 +51,4 @@ __all__ = [
     "save_trace",
     "trace_from_payload",
     "use_id_space",
-    "write_trace_jsonl",
 ]

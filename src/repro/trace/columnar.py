@@ -15,12 +15,15 @@ instead: :func:`encode_payload` transposes each channel's row list into
 * variable-length integer lists (``packet_ids``, ``tb_ids``,
   ``failed_slot_us``) use the classic offsets-plus-value-pool layout;
 * packet capture stamps keep their dict *insertion order* by interning the
-  key tuple and pooling the values, so JSONL serialization stays
-  byte-identical to the record writer;
+  key tuple and pooling the values, so a JSONL line lists the taps in the
+  order the packet passed them;
 * nested dataclasses (``RtpInfo``, ``RanPacketTelemetry``) flatten into a
   presence bitmap plus one sub-column per field;
 * session metadata travels as JSON; encoding refuses metadata that would
-  not come back exactly.
+  not come back exactly (:func:`check_metadata`, as the JSONL writer does).
+
+:meth:`ChannelStore.json_rows` is the one renderer of records as JSON, for
+:mod:`repro.trace.io`'s JSONL and CSV writers as well.
 
 Readers of a decoded trace never see the difference:
 :class:`ColumnarTrace` materializes real schema dataclasses lazily on row
@@ -66,8 +69,8 @@ class _Column:
         raise NotImplementedError
 
     def json_list(self, start: int, stop: int) -> List[object]:
-        """JSON-ready values for rows ``[start, stop)`` in one pass (what
-        :func:`repro.trace.io.to_jsonable` would produce)."""
+        """JSON-ready values for rows ``[start, stop)`` in one pass: enums
+        as their values, structs as dicts (what the JSONL lines hold)."""
         raise NotImplementedError
 
     def values(self, start: int, stop: int) -> List[object]:
@@ -621,8 +624,8 @@ class ChannelStore:
         """JSON-able dicts for rows ``[start, stop)``, column-batched.
 
         Each column decodes its whole slice in one pass and the rows are
-        zipped back together at C speed — the fast path behind the batch
-        JSONL encoder.  When ``type_tag`` is given, each dict gets a
+        zipped back together at C speed.  Every JSONL line and CSV row
+        comes from here.  When ``type_tag`` is given, each dict gets a
         leading ``"type"`` key (first in insertion order, matching the
         tagged-JSONL line format) without a second per-row copy.
         """
@@ -738,6 +741,36 @@ class ColumnarTrace(Trace):
         self.sync_exchanges = ChannelView(stores["sync"])  # type: ignore[assignment]
 
 
+def channel_stores(trace: Trace) -> Iterator[Tuple[str, ChannelStore]]:
+    """``(channel, store)`` for every channel of ``trace``, in saved order.
+
+    A decoded :class:`ColumnarTrace` yields its own stores; a row trace's
+    records are transposed into a fresh :class:`ChannelStore` per channel.
+    """
+    for channel, attr in CHANNEL_FIELDS.items():
+        if isinstance(trace, ColumnarTrace):
+            yield channel, trace.stores[channel]
+        else:
+            yield channel, ChannelStore(channel, getattr(trace, attr))
+
+
+def check_metadata(metadata: Dict[str, object]) -> str:
+    """``metadata`` as JSON text, refusing what would not come back exactly.
+
+    Raises :class:`ValueError` on a value JSON cannot encode, or one that
+    decodes to something else (a tuple, a non-string key, an enum member).
+    """
+    try:
+        text = json.dumps(metadata)
+    except TypeError as exc:
+        raise ValueError(f"trace metadata is not JSON: {exc}") from None
+    # repr, not ==: a tuple, a str enum or an int enum compares equal to
+    # the list, str or int JSON hands back.
+    if repr(json.loads(text)) != repr(metadata):
+        raise ValueError("trace metadata does not survive a JSON round trip")
+    return text
+
+
 # ----------------------------------------------------------------------
 # Payload codec
 # ----------------------------------------------------------------------
@@ -748,7 +781,7 @@ def encode_payload(trace: Trace) -> bytes:
     """Pack a trace's records into one compact ``bytes`` blob.
 
     Each channel's row list is transposed into its typed columns, one
-    ``append_batch`` per column.  Layout: magic, 8-byte big-endian header
+    ``append_batch`` per column (a decoded trace dumps its own stores).  Layout: magic, 8-byte big-endian header
     length, JSON header (channel layouts, intern tables, metadata length),
     the JSON metadata, then the raw column buffers back to back.  Buffers
     round-trip through ``array.tobytes``/``frombytes`` — a memcpy, not a
@@ -757,23 +790,12 @@ def encode_payload(trace: Trace) -> bytes:
     Raises :class:`ValueError` when the metadata does not survive a JSON
     round trip exactly (a tuple, a non-string key, an enum member...).
     """
-    metadata = dict(trace.metadata)
-    try:
-        meta_text = json.dumps(metadata)
-    except TypeError as exc:
-        raise ValueError(f"trace metadata is not JSON: {exc}") from None
-    # repr, not ==: a tuple, a str enum or an int enum compares equal to
-    # the list, str or int JSON hands back.
-    if repr(json.loads(meta_text)) != repr(metadata):
-        raise ValueError("trace metadata does not survive a JSON round trip")
-    meta_blob = meta_text.encode("utf-8")
+    meta_blob = check_metadata(trace.metadata).encode("utf-8")
     channels: Dict[str, object] = {}
     buffer_specs: List[List[object]] = []
     chunks: List[bytes] = []
-    for channel in CHANNELS:
-        meta, buffers = ChannelStore(
-            channel, getattr(trace, CHANNEL_FIELDS[channel])
-        ).dump()
+    for channel, store in channel_stores(trace):
+        meta, buffers = store.dump()
         channels[channel] = meta
         for buf in buffers:
             raw = buf.tobytes()

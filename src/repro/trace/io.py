@@ -3,17 +3,20 @@
 The JSONL format writes one record per line with a ``"type"`` tag, preceded
 by a single ``"meta"`` line, so traces can be streamed and concatenated.  CSV
 export flattens one record family per file for spreadsheet/pandas analysis.
+Both writers render records only through the columnar codec: each channel's
+:class:`~repro.trace.columnar.ChannelStore` (a decoded trace's own, or a row
+trace's records transposed into one) and its ``json_rows``.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Tuple, Union
 
 from .bus import CHANNEL_FIELDS, RECORD_CLASSES
+from .columnar import channel_stores, check_metadata
 from .schema import (
     MediaKind,
     PacketRecord,
@@ -27,29 +30,6 @@ from .schema import (
 
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed."""
-
-
-def to_jsonable(value: object) -> object:
-    """Convert a record (dataclass tree) into JSON-serializable builtins."""
-    return _to_jsonable(value)
-
-
-def _to_jsonable(value: object) -> object:
-    if isinstance(value, (MediaKind, TbKind)):
-        return value.value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # call_id is omitted when unset so single-call traces serialize
-        # byte-identically to files written before the multi-call cell.
-        return {
-            f.name: _to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if not (f.name == "call_id" and getattr(value, f.name) is None)
-        }
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_to_jsonable(v) for v in value]
-    return value
 
 
 def _packet_from_dict(data: dict) -> PacketRecord:
@@ -82,7 +62,7 @@ def _record_from_dict(tag: str, data: dict) -> object:
     return RECORD_CLASSES[tag](**data)
 
 
-#: Rows per batch in the chunked JSONL encoder.
+#: Rows per ``write()`` in :func:`save_trace`.
 JSONL_BATCH_ROWS = 1024
 
 
@@ -91,9 +71,7 @@ def encode_jsonl_batch(rows: Iterable[dict]) -> str:
 
     One call produces the concatenated lines for the whole batch, so the
     writer issues a single ``write()`` per batch instead of one per record.
-    Each line is encoded exactly as the per-record writer would
-    (``json.dumps`` defaults), keeping batched output byte-identical to the
-    historical record-at-a-time format.
+    Each line is plain ``json.dumps`` output.
     """
     lines = list(map(json.dumps, rows))
     if not lines:
@@ -101,60 +79,26 @@ def encode_jsonl_batch(rows: Iterable[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_jsonl(
-    trace: Trace,
-    path: Union[str, Path],
-    *,
-    batch_rows: int = JSONL_BATCH_ROWS,
-) -> int:
-    """Write ``trace`` to ``path`` in the tagged JSONL format, batched.
-
-    Output is byte-identical to the historical per-record writer (family
-    order per ``CHANNEL_FIELDS``, one ``meta`` line first).  A
-    :class:`~repro.trace.columnar.ColumnarTrace` takes the fast path —
-    JSON-able rows are built straight from the column arrays without
-    materializing record objects.  Returns the record-line count.
-    """
-    from .columnar import ColumnarTrace
-
-    path = Path(path)
-    written = 0
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "meta", **_to_jsonable(trace.metadata)}) + "\n")
-        for tag, attr in CHANNEL_FIELDS.items():
-            if isinstance(trace, ColumnarTrace):
-                store = trace.stores[tag]
-                rows_total = store.rows
-
-                def batch_rows_for(start: int, stop: int, _store=store, _tag=tag):
-                    # json_rows puts "type" first in insertion order, which
-                    # byte-identity with the per-record writer requires.
-                    return _store.json_rows(start, stop, type_tag=_tag)
-
-            else:
-                records = getattr(trace, attr)
-                rows_total = len(records)
-
-                def batch_rows_for(start: int, stop: int, _records=records, _tag=tag):
-                    return [
-                        {"type": _tag, **_to_jsonable(r)}
-                        for r in _records[start:stop]
-                    ]
-
-            for start in range(0, rows_total, batch_rows):
-                stop = min(start + batch_rows, rows_total)
-                fh.write(encode_jsonl_batch(batch_rows_for(start, stop)))
-                written += stop - start
-    return written
-
-
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+def save_trace(trace: Trace, path: Union[str, Path]) -> int:
     """Write ``trace`` to ``path`` in the tagged JSONL format.
 
-    Delegates to the batched :func:`write_trace_jsonl` encoder; the bytes
-    are identical to the historical record-at-a-time writer.
+    One ``meta`` line, then each channel's records in ``CHANNEL_FIELDS``
+    order, rendered by :meth:`~repro.trace.columnar.ChannelStore.json_rows`
+    and written :data:`JSONL_BATCH_ROWS` lines at a time.  Raises
+    :class:`ValueError`, before the file is opened, when the metadata would
+    not survive a JSON round trip.  Returns the record-line count.
     """
-    write_trace_jsonl(trace, path)
+    check_metadata(trace.metadata)
+    written = 0
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": "meta", **trace.metadata}) + "\n")
+        for channel, store in channel_stores(trace):
+            for start in range(0, store.rows, JSONL_BATCH_ROWS):
+                stop = min(start + JSONL_BATCH_ROWS, store.rows)
+                rows = store.json_rows(start, stop, type_tag=channel)
+                fh.write(encode_jsonl_batch(rows))
+            written += store.rows
+    return written
 
 
 def iter_trace_records(
@@ -215,21 +159,21 @@ def load_trace(path: Union[str, Path]) -> Trace:
 def export_csv(trace: Trace, directory: Union[str, Path]) -> Dict[str, Path]:
     """Flatten each record family of ``trace`` into one CSV under ``directory``.
 
-    Returns a map from record family to the written path.  Nested fields are
-    JSON-encoded in a single column.
+    Returns a map from record family to the written path.  Rows come from
+    the same :meth:`~repro.trace.columnar.ChannelStore.json_rows` as the
+    JSONL lines; nested fields are JSON-encoded in a single column.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
-    for tag, attr in CHANNEL_FIELDS.items():
-        records = getattr(trace, attr)
-        if not records:
+    for channel, store in channel_stores(trace):
+        if not store.rows:
             continue
+        attr = CHANNEL_FIELDS[channel]
         out_path = directory / f"{attr}.csv"
-        rows = [_to_jsonable(r) for r in records]
-        fieldnames = list(rows[0].keys())
+        rows = store.json_rows(0, store.rows)
         with out_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             for row in rows:
                 flat = {

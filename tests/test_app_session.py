@@ -42,6 +42,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="call 1: jitter_buffer_beta"):
             ScenarioConfig(calls=calls)
 
+    @pytest.mark.parametrize("offsets", [
+        {"snder": 6_000},
+        {1: 6_000},
+        {CapturePoint.SENDER: 6_000},
+        {"sender": 6_000.0},
+        {"sender": True},
+        {"sender": "6000"},
+    ], ids=["typo-key", "int-key", "enum-key", "float", "bool", "str"])
+    def test_bad_clock_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="clock_offsets_us"):
+            PathConfig(clock_offsets_us=offsets)
+
+    def test_clock_offsets_for_every_host_accepted(self):
+        offsets = {point.value: -1_500 for point in CapturePoint}
+        assert PathConfig(clock_offsets_us=offsets).clock_offsets_us == offsets
+
 
 def _collect_config(result):
     return result.config

@@ -89,6 +89,26 @@ class TestCommands:
         assert f"{path}:2:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [[], ["--batch"]], ids=["streaming", "batch"])
+    def test_analyze_missing_file(self, tmp_path, capsys, mode):
+        path = tmp_path / "missing.jsonl"
+        rc = main(["analyze", str(path), *mode])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_run_invalid_duration(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        rc = main(["run", "--duration", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "duration_s" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestReproduceAll:
     def test_parser_accepts(self):

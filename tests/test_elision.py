@@ -23,7 +23,7 @@ from repro.phy import (
 from repro.phy.params import CrossTrafficConfig, CrossTrafficPhase
 from repro.run.builder import SessionBuilder, run_session
 from repro.run.scenario import CallSpec, ScenarioConfig
-from repro.sim import RngStreams, Simulator, ms, seconds
+from repro.sim import RngStreams, Simulator, ms
 from repro.trace import MediaKind, PacketRecord
 from repro.trace.ids import IdSpace, new_packet_id, use_id_space
 from repro.trace.io import save_trace

@@ -29,7 +29,8 @@ from repro.run.batch import RunSpec, collect_call_summaries, run_batch
 from repro.run.builder import run_session
 from repro.run.scenario import CallSpec, ScenarioConfig
 from repro.trace.bus import CHANNEL_FIELDS
-from repro.trace.io import _to_jsonable, load_trace, save_trace
+from repro.trace.columnar import ChannelStore
+from repro.trace.io import load_trace, save_trace
 from repro.trace.schema import (
     PacketRecord,
     MediaKind,
@@ -75,11 +76,16 @@ def contended_config(seed: int, **ran_overrides) -> ScenarioConfig:
 
 
 def trace_hash(trace: Trace) -> str:
+    """sha256 over every record's tagged JSONL line, family by family.
+
+    The lines come from the codec's renderer, as :func:`save_trace` writes
+    them; the ``meta`` line is left out.
+    """
     digest = hashlib.sha256()
     for channel in ("packet", "tb", "grant", "frame", "probe", "sync"):
-        for record in getattr(trace, CHANNEL_FIELDS[channel]):
-            line = json.dumps({"type": channel, **_to_jsonable(record)}) + "\n"
-            digest.update(line.encode())
+        store = ChannelStore(channel, getattr(trace, CHANNEL_FIELDS[channel]))
+        for row in store.json_rows(0, store.rows, type_tag=channel):
+            digest.update((json.dumps(row) + "\n").encode())
     return digest.hexdigest()
 
 

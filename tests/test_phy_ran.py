@@ -5,7 +5,7 @@ import pytest
 from repro.phy import FixedChannel, RanConfig, RanSimulator
 from repro.trace import TbKind
 from repro.sim import RngStreams, Simulator, ms
-from repro.trace import CapturePoint, MediaKind, PacketRecord
+from repro.trace import MediaKind, PacketRecord
 from repro.trace.schema import new_packet_id
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.core.rootcause import DelayCause
 from repro.run import RunSpec, ScenarioCache, run_batch, run_session
 from repro.run.batch import collect_qoe, run_batch_traces, sweep_grid
 from repro.run.cache import (
@@ -26,9 +28,13 @@ from repro.run.cache import (
     scenario_key,
 )
 from repro.run.scenario import CallSpec, ScenarioConfig
-from repro.trace import save_trace
+from repro.trace import encode_payload, save_trace
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _refuse_unpickling(*args, **kwargs):
+    raise AssertionError("a cache read unpickled an entry")
 
 
 def _config(**overrides) -> ScenarioConfig:
@@ -194,6 +200,85 @@ class TestStore:
             b"not a cache entry"
         )
         assert cache.get_result(config) is None
+
+    @pytest.mark.parametrize(
+        "calls", [None, (CallSpec(call_id=0), CallSpec(call_id=1))],
+        ids=["single-call", "two-call"],
+    )
+    def test_hit_diagnosis_equals_live_run(self, tmp_path, calls):
+        config = ScenarioConfig(
+            duration_s=1.0, seed=7, live_analysis=True, calls=calls
+        )
+        live = run_session(config)
+        ScenarioCache(cache_dir=tmp_path / "c").put_result(config, live)
+        hit = ScenarioCache(cache_dir=tmp_path / "c").get_result(config)
+        assert hit is not None
+        assert sum(live.diagnosis.cause_counts.values()) > 0
+        pairs = [(hit.diagnosis, live.diagnosis)]
+        assert len(hit.calls) == len(live.calls)
+        for hit_call, live_call in zip(hit.calls, live.calls):
+            assert (hit_call.spec, hit_call.ue_id) == (
+                live_call.spec, live_call.ue_id
+            )
+            assert len(hit_call.trace.packets) == len(live_call.trace.packets)
+            pairs.append((hit_call.diagnosis, live_call.diagnosis))
+        for cached, fresh in pairs:
+            assert cached.cause_counts == fresh.cause_counts
+            assert {type(c) for c in cached.cause_counts} == {DelayCause}
+            for cause in DelayCause:
+                assert cached.cause_share(cause) == fresh.cause_fraction(cause)
+
+    def test_old_layout_entry_is_a_miss_and_swept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
+        config = _config()
+        cache = ScenarioCache(cache_dir=tmp_path / "c")
+        key = scenario_fingerprint(config)
+        payload = encode_payload(run_session(config).trace)
+        summary = pickle.dumps(
+            {"multicall": False, "calls": [{"ue_id": 1}], "cause_counts": None}
+        )
+        path = cache._entry_path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"".join((
+            b"ATHE1\n", len(summary).to_bytes(8, "big"),
+            len(payload).to_bytes(8, "big"), summary, payload,
+        )))
+        cache.index_path.write_text(json.dumps({
+            "schema": "athena-cache/1", "salt": code_version_token(),
+            "tick": 1, "entries": {key: {"bytes": path.stat().st_size, "tick": 1}},
+        }), encoding="utf-8")
+        reopened = ScenarioCache(cache_dir=tmp_path / "c")
+        assert reopened.get_result(config) is None
+        assert (reopened.hits, reopened.misses) == (0, 1)
+        objects = tmp_path / "c" / "objects"
+        assert not [p for p in objects.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("summary", [
+        pickle.dumps({"multicall": False, "calls": [], "cause_counts": None}),
+        b"not json",
+        json.dumps({"cause_counts": None, "calls": [None, None]}).encode(),
+        json.dumps({"cause_counts": {"weather": 1}, "calls": [None]}).encode(),
+        json.dumps({"cause_counts": None}).encode(),
+    ], ids=["pickle", "not-json", "call-count", "unknown-cause", "no-calls"])
+    def test_bad_summary_is_a_miss_then_heals(self, tmp_path, monkeypatch, summary):
+        monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
+        config = _config()
+        key = scenario_fingerprint(config)
+        payload = encode_payload(run_session(config).trace)
+        ScenarioCache(cache_dir=tmp_path / "c").put(key, payload, summary)
+        cache = ScenarioCache(cache_dir=tmp_path / "c")
+        assert cache.get_result(config) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert len(cache) == 0 and not cache._entry_path(key).exists()
+        # A cached batch meeting the same entry re-simulates and re-stores.
+        cache.put(key, payload, summary)
+        runs = run_batch([RunSpec("x", config)], collect=collect_qoe, jobs=1,
+                         cache=cache)
+        assert (cache.hits, cache.misses) == (0, 2)
+        healed = ScenarioCache(cache_dir=tmp_path / "c")
+        hit = healed.get_result(config)
+        assert hit is not None and healed.hits == 1
+        assert collect_qoe(hit) == runs[0].value
 
     def test_lru_eviction_under_small_cap(self, tmp_path):
         entry = b"x" * 100

@@ -28,7 +28,6 @@ from repro.core import (
 from repro.core.streaming import (
     AnalysisTap,
     FrameClusterOperator,
-    LiveDiagnosis,
     RootCauseOperator,
     StreamingReportOperator,
     SyncOffsetOperator,
@@ -44,7 +43,8 @@ from repro.run.scenario import MONITORED_UE_ID, CallSpec, ScenarioConfig
 from repro.sim.units import ms, seconds
 from repro.trace.bus import CHANNEL_FIELDS, InMemorySink
 from repro.trace.ids import use_id_space
-from repro.trace.io import encode_jsonl_batch, load_trace, save_trace, to_jsonable
+from repro.trace.columnar import ChannelStore
+from repro.trace.io import encode_jsonl_batch, load_trace, save_trace
 from repro.trace.schema import CapturePoint, MediaKind, PacketRecord, Trace
 
 #: Ceiling on a streaming pass's peak traced memory, as a fraction of
@@ -59,14 +59,17 @@ def _save_in_event_time_order(trace: Trace, path) -> None:
     ties keep family order), the order a capture tool writes them, instead
     of ``save_trace``'s one-family-after-another grouping.
     """
-    records = [
-        (channel, record)
-        for channel, attr in CHANNEL_FIELDS.items()
-        for record in getattr(trace, attr)
-    ]
-    records.sort(key=lambda item: record_event_time(*item))
-    rows = [{"type": "meta", **to_jsonable(trace.metadata)}]
-    rows.extend({"type": channel, **to_jsonable(record)} for channel, record in records)
+    lines = []
+    for channel, attr in CHANNEL_FIELDS.items():
+        records = getattr(trace, attr)
+        store = ChannelStore(channel, records)
+        rows = store.json_rows(0, store.rows, type_tag=channel)
+        lines.extend(
+            (record_event_time(channel, record), row)
+            for record, row in zip(records, rows)
+        )
+    lines.sort(key=lambda item: item[0])
+    rows = [{"type": "meta", **trace.metadata}, *(row for _, row in lines)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode_jsonl_batch(rows))
 

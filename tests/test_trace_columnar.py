@@ -2,10 +2,11 @@
 
 The contract under test is strict: a row trace encoded with
 :func:`encode_payload` and decoded with :func:`trace_from_payload` must give
-(a) record-equal row views, (b) byte-identical JSONL through the
-family-ordered batch writer, (c) column readers equal to field reads on
-the rows, and (d) the same metadata.  Golden hashes compare whole files,
-so a single float formatting or key-order divergence fails loudly.
+(a) record-equal row views, (b) the same pinned JSONL and CSV bytes
+through :func:`save_trace` and :func:`export_csv`, (c) column readers equal
+to field reads on the rows, and (d) the same metadata.  Golden hashes
+compare whole files, so a single float formatting or key-order divergence
+fails loudly.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.run import CallSpec, ScenarioConfig, run_session
 from repro.trace import (
     Trace,
     encode_payload,
+    export_csv,
     load_trace,
     save_trace,
-    write_trace_jsonl,
 )
 from repro.trace.bus import CHANNEL_FIELDS
 from repro.trace.columnar import (
@@ -60,19 +61,57 @@ def _sha256(path):
 
 
 # ---------------------------------------------------------------------------
-# Golden byte-identity on real sessions
+# Golden files of real sessions
 # ---------------------------------------------------------------------------
+#: sha256 of the save_trace file of each 1 s session, written before the
+#: JSONL writer lost its reflective row renderer (which these files matched
+#: byte for byte), so the codec-only writer is held to the same bytes.
+GOLDEN_JSONL = {
+    ("5g", 7): "d49d329843015dd14c1b6630bd666e543338b8b6fdcb968806d00ba165bc0c0c",
+    ("5g", 11): "95fc68f28957cfa78ed7f88cfe4612ded3f3d29625615348c7d7ea7cbb473765",
+    ("5g", 23): "c58e3f0d0c98086140ca9288858c1377c5e91c4e26c96f137574723950ed5c5c",
+    ("emulated", 7): "ed5bcc10f22f9c40491b7a65ed93886c45a507d91e81e408519bb5e7a7124fea",
+    ("emulated", 11): "28699b70b9aed9d6215184a9cbf0b4ac400fb206dc546bb1ae2d05bfb60333be",
+    ("emulated", 23): "c460d49ff98dca674cbd6ba11adee3f58093944eb5304b988d6badb6bd5901c8",
+}
+
+#: The same for a two-call cell (seed 7), per access network.
+GOLDEN_TWO_CALL_JSONL = {
+    "5g": "fbafec4ba4396f81045f455109b6794e079ec6ddcef3740fe7eafad92035db08",
+    "emulated": "dd0dab95638e7656fb08ab699eb263c66399f2f833137659f3036543b5e47635",
+}
+
+#: A time-synced session with a sender clock offset: covers the ``sync``
+#: family and a ``meta`` line with nested metadata.
+GOLDEN_SYNC_JSONL = "8758b7f45eb4ecc3b9b0317de63426d76f740758edf69e5b28e5835c1e5e3a16"
+
+#: sha256 of each export_csv file of ``ScenarioConfig(seed=7, duration_s=1.0,
+#: record_grants=True)``, written by the same earlier row renderer.
+GOLDEN_CSV = {
+    "frames": "987dd7de59fbd87227edfc3b0c9045b37ca301a3ecda5e95170649d831bea605",
+    "grants": "71ef4761f2fac99917d7d2f99d969fcfa09318ad7a39a56962360bec98f6f93a",
+    "packets": "49518d87fabecda93410cae33e45c42790196f9785d861ff37c7065be9bf8986",
+    "probes": "74c06c54bd1c242b9621b03c0fd4ae9f89d8a0e778c0e38fcbb42d6e8d8bceee",
+    "transport_blocks": "85dd207b03e505f8c41408b8b792abfcbc1eb98b2af89c5b2f4d38471af9b5a5",
+}
+
+
+def _saved_sha256(trace, path):
+    save_trace(trace, path)
+    return _sha256(path)
+
+
 class TestGoldenByteIdentity:
+    """A row trace and its decoded payload both save to the pinned bytes."""
+
     @pytest.mark.parametrize("seed", [7, 11, 23])
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_family_order_file_is_byte_identical(self, tmp_path, seed, access):
         config = ScenarioConfig(seed=seed, access=access, duration_s=1.0)
         mem = _run(config)
-        mem_path = tmp_path / "mem.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        save_trace(mem, mem_path)
-        write_trace_jsonl(_round_trip(mem), col_path)
-        assert _sha256(mem_path) == _sha256(col_path)
+        want = GOLDEN_JSONL[(access, seed)]
+        assert _saved_sha256(mem, tmp_path / "mem.jsonl") == want
+        assert _saved_sha256(_round_trip(mem), tmp_path / "col.jsonl") == want
 
     @pytest.mark.parametrize("access", ["5g", "emulated"])
     def test_two_call_cell_stays_identical(self, tmp_path, access):
@@ -82,11 +121,9 @@ class TestGoldenByteIdentity:
         )
         mem = _run(config)
         col = _round_trip(mem)
-        mem_path = tmp_path / "mem.jsonl"
-        col_path = tmp_path / "col.jsonl"
-        save_trace(mem, mem_path)
-        write_trace_jsonl(col, col_path)
-        assert _sha256(mem_path) == _sha256(col_path)
+        want = GOLDEN_TWO_CALL_JSONL[access]
+        assert _saved_sha256(mem, tmp_path / "mem.jsonl") == want
+        assert _saved_sha256(col, tmp_path / "col.jsonl") == want
         # Per-call views share the same attribution logic as row traces.
         assert col.call_ids() == mem.call_ids() == [0, 1]
         for call_id in (0, 1):
@@ -97,6 +134,39 @@ class TestGoldenByteIdentity:
                     getattr(sub_mem, family)
                 )
 
+    def test_time_synced_file_is_pinned(self, tmp_path):
+        mem = _run(ScenarioConfig(
+            seed=7, duration_s=1.0, time_sync=True,
+            path=PathConfig(clock_offsets_us={"sender": 6_000}),
+        ))
+        assert mem.sync_exchanges
+        assert _saved_sha256(mem, tmp_path / "mem.jsonl") == GOLDEN_SYNC_JSONL
+        assert (
+            _saved_sha256(_round_trip(mem), tmp_path / "col.jsonl")
+            == GOLDEN_SYNC_JSONL
+        )
+
+    def test_csv_files_are_pinned(self, tmp_path):
+        mem = _run(ScenarioConfig(seed=7, duration_s=1.0, record_grants=True))
+        for name, trace in (("mem", mem), ("col", _round_trip(mem))):
+            written = export_csv(trace, tmp_path / name)
+            assert {attr: _sha256(path) for attr, path in written.items()} == (
+                GOLDEN_CSV
+            ), name
+
+    def test_save_returns_record_line_count(self, tmp_path):
+        mem = _run(ScenarioConfig(seed=7, duration_s=1.0))
+        path = tmp_path / "t.jsonl"
+        count = save_trace(mem, path)
+        assert count == sum(len(getattr(mem, family)) for family in FAMILIES)
+        assert len(path.read_text().splitlines()) == count + 1  # + meta line
+
+    def test_metadata_that_is_not_json_raises_before_writing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="metadata"):
+            save_trace(Trace(metadata={"clock_offsets_us": {1: 5}}), path)
+        assert not path.exists()
+
     def test_rows_equal_in_memory_records(self):
         mem = _run(ScenarioConfig(seed=11, duration_s=1.0))
         col = _round_trip(mem)
@@ -106,7 +176,7 @@ class TestGoldenByteIdentity:
     def test_written_file_loads_back(self, tmp_path):
         col = _round_trip(_run(ScenarioConfig(seed=7, duration_s=1.0)))
         path = tmp_path / "t.jsonl"
-        write_trace_jsonl(col, path)
+        save_trace(col, path)
         loaded = load_trace(path)
         for family in FAMILIES:
             assert list(getattr(loaded, family)) == list(getattr(col, family))
@@ -221,6 +291,17 @@ def test_columnar_rows_equal_in_memory_for_random_sessions(mem):
     _assert_column_readers_match(col, mem)
     for family in FAMILIES:
         assert list(getattr(col, family)) == list(getattr(mem, family))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mem=_row_trace())
+def test_saved_file_loads_back_for_random_sessions(tmp_path_factory, mem):
+    path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
+    save_trace(mem, path)
+    loaded = load_trace(path)
+    assert repr(loaded.metadata) == repr(mem.metadata)
+    for family in FAMILIES:
+        assert list(getattr(loaded, family)) == list(getattr(mem, family))
 
 
 def _scalar_fields(channel):
