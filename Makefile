@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint lint-json lint-sarif test claims smoke smoke-multicall smoke-cache perf perf-smoke
 
-check: lint test smoke
+check: lint test smoke smoke-multicall smoke-cache perf-smoke claims
 
 lint:
 	$(PYTHON) -m repro.analysis

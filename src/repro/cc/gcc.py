@@ -102,11 +102,16 @@ class TrendlineFilter:
         return self._slope()
 
     def _slope(self) -> float:
-        n = len(self._points)
-        mean_x = sum(p[0] for p in self._points) / n
-        mean_y = sum(p[1] for p in self._points) / n
-        num = sum((x - mean_x) * (y - mean_y) for x, y in self._points)
-        den = sum((x - mean_x) ** 2 for x, _ in self._points)
+        # Centred least squares, summed left to right by the built-in sum
+        # and never from running sums: float drift would move the goldens.
+        xs = [p[0] for p in self._points]
+        ys = [p[1] for p in self._points]
+        n = len(xs)
+        mean_x = sum(xs) / n
+        mean_y = sum(ys) / n
+        dxs = [x - mean_x for x in xs]
+        num = sum([dx * (y - mean_y) for dx, y in zip(dxs, ys)])
+        den = sum([dx**2 for dx in dxs])
         if den == 0:
             return 0.0
         return num / den

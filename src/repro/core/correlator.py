@@ -89,8 +89,8 @@ def correlate_tbs_to_packets(
 
     Implemented as a replay over the incremental
     :class:`~repro.core.streaming.operators.TbPacketCorrelator` — the same
-    operator the live :class:`~repro.core.streaming.tap.AnalysisTap` path
-    runs, so there is exactly one byte-accounting implementation.
+    operator an :class:`~repro.core.streaming.tap.AnalysisTap` can run
+    live, so there is exactly one byte-accounting implementation.
     """
     from .streaming.operators import TbPacketCorrelator
     from .streaming.replay import replay_trace

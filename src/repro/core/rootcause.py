@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,10 @@ from ..trace.schema import (
     Trace,
     TransportBlockRecord,
 )
+
+_SENDER = CapturePoint.SENDER.value
+_CORE = CapturePoint.CORE.value
+_PROACTIVE = TbKind.PROACTIVE
 
 
 class DelayCause(Enum):
@@ -116,14 +120,20 @@ class RootCauseReport:
         }
 
 
-def packet_breakdown(
-    packet: PacketRecord, floor_ms: float
-) -> Optional[PacketDelayBreakdown]:
-    """Decompose one packet's uplink delay using RAN telemetry."""
-    delay_us = packet.one_way_delay_us(CapturePoint.SENDER, CapturePoint.CORE)
-    if delay_us is None or packet.ran is None:
-        return None
+def delay_components_ms(
+    packet: PacketRecord,
+) -> Optional[Tuple[float, float, float, float, float, float]]:
+    """One packet's uplink delay split from its RAN telemetry, or None.
+
+    The tuple is ``(total, propagation, tdd_alignment, grant_queueing,
+    segmentation_spread, harq)`` in milliseconds, the field order of
+    :class:`PacketDelayBreakdown`.  The propagation floor is inferred as
+    the residual.
+    """
+    delay_us = packet.one_way_delay_us(_SENDER, _CORE)
     t = packet.ran
+    if delay_us is None or t is None:
+        return None
     total_ms = us_to_ms(delay_us)
     harq_ms = us_to_ms(t.harq_delay_us)
     align_ms = us_to_ms(t.sched_wait_us)
@@ -132,17 +142,22 @@ def packet_breakdown(
     propagation_ms = max(
         0.0, total_ms - harq_ms - align_ms - queue_ms - spread_ms
     )
-    del floor_ms  # the floor is inferred as the residual above
+    return total_ms, propagation_ms, align_ms, queue_ms, spread_ms, harq_ms
+
+
+def packet_breakdown(
+    packet: PacketRecord, floor_ms: float
+) -> Optional[PacketDelayBreakdown]:
+    """Decompose one packet's uplink delay using RAN telemetry."""
+    del floor_ms  # the floor is inferred as the residual
+    parts = delay_components_ms(packet)
+    if parts is None:
+        return None
     return PacketDelayBreakdown(
-        packet_id=packet.packet_id,
-        kind=packet.kind,
-        total_ms=total_ms,
-        propagation_ms=propagation_ms,
-        tdd_alignment_ms=align_ms,
-        grant_queueing_ms=queue_ms,
-        segmentation_spread_ms=spread_ms,
-        harq_ms=harq_ms,
-        harq_rounds=t.harq_rounds,
+        packet.packet_id,
+        packet.kind,
+        *parts,
+        harq_rounds=packet.ran.harq_rounds,
     )
 
 
@@ -163,20 +178,22 @@ def diagnose_frame(
         packet = packet_index.get(pid)
         if packet is None:
             continue
-        t_core = packet.capture_at(CapturePoint.CORE)
-        d = packet.one_way_delay_us(CapturePoint.SENDER, CapturePoint.CORE)
-        if t_core is None or d is None:
+        captures = packet.captures
+        t_core = captures.get(_CORE)
+        t_send = captures.get(_SENDER)
+        if t_core is None or t_send is None:
             continue
         core_times.append(t_core)
-        delays.append(us_to_ms(d))
-        if packet.ran is not None:
-            harq_rounds = max(harq_rounds, packet.ran.harq_rounds)
-            for tb_id in packet.ran.tb_ids:
+        delays.append(us_to_ms(t_core - t_send))
+        ran = packet.ran
+        if ran is not None:
+            harq_rounds = max(harq_rounds, ran.harq_rounds)
+            for tb_id in ran.tb_ids:
                 tb = tb_index.get(tb_id)
                 if tb is None:
                     continue
                 share = packet.size_bytes  # coarse: attribute packet to TB kind
-                if tb.kind == TbKind.PROACTIVE:
+                if tb.kind == _PROACTIVE:
                     proactive_bytes += share
                 else:
                     requested_bytes += share

@@ -26,7 +26,7 @@ from typing import Callable, Deque, List, Optional
 from ...sim.units import TimeUs
 from ...trace.schema import PacketRecord
 from ..correlator import FrameCluster
-from ..rootcause import DelayCause, FrameDiagnosis, PacketDelayBreakdown
+from ..rootcause import DelayCause, FrameDiagnosis
 
 #: Default per-packet retention: comfortably above the in-flight packet
 #: count of a paper-scale session while keeping memory O(1) in run length.
@@ -54,9 +54,7 @@ class LiveDiagnosis:
         self._diagnosis_listeners: List[Callable[[FrameDiagnosis], None]] = []
 
     # -- operator-facing ingestion -------------------------------------
-    def on_breakdown(
-        self, packet: PacketRecord, breakdown: PacketDelayBreakdown
-    ) -> None:
+    def on_breakdown(self, packet: PacketRecord) -> None:
         """Record one packet's RAN-induced delay (DelayBreakdownOperator)."""
         self.packets_seen += 1
         ran = packet.ran

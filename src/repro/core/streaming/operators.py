@@ -52,14 +52,14 @@ from ..rootcause import (
     FrameDiagnosis,
     PacketDelayBreakdown,
     RootCauseReport,
+    delay_components_ms,
     diagnose_frame,
-    packet_breakdown,
 )
 from ..timesync import ProbeExchange, estimate_offset_and_drift
 from .base import StreamOperator, TimeOrderedOperator
 
-_SENDER = CapturePoint.SENDER
-_CORE = CapturePoint.CORE
+_SENDER = CapturePoint.SENDER.value
+_CORE = CapturePoint.CORE.value
 
 
 class SyncOffsetOperator(StreamOperator):
@@ -332,10 +332,13 @@ class DelayBreakdownOperator(StreamOperator):
     """Stateless per-packet delay decomposition with running means.
 
     Emission order is feed order — on replay that is trace order, matching
-    the batch ``analyze_root_causes`` breakdown list.  Live, each packet's
-    exact RAN-induced total (integer microseconds, the value
-    :class:`~repro.mitigation.ran_aware_cc.RanAwareGcc` must subtract) is
-    pushed to ``on_breakdown`` the moment the packet finalizes.
+    the batch ``analyze_root_causes`` breakdown list.  Live, each packet
+    with a sender→core delay and RAN telemetry is pushed to
+    ``on_breakdown`` the moment it finalizes (its exact RAN-induced total,
+    in integer microseconds, is the value
+    :class:`~repro.mitigation.ran_aware_cc.RanAwareGcc` must subtract).
+    A :class:`PacketDelayBreakdown` is built only when
+    ``retain_results`` keeps it.
     """
 
     channels = ("packet",)
@@ -352,9 +355,7 @@ class DelayBreakdownOperator(StreamOperator):
     def __init__(
         self,
         retain_results: bool = True,
-        on_breakdown: Optional[
-            Callable[[PacketRecord, PacketDelayBreakdown], None]
-        ] = None,
+        on_breakdown: Optional[Callable[[PacketRecord], None]] = None,
     ) -> None:
         self.retain_results = retain_results
         self.on_breakdown = on_breakdown
@@ -364,19 +365,28 @@ class DelayBreakdownOperator(StreamOperator):
 
     def on_record(self, channel: str, record: object) -> None:
         assert isinstance(record, PacketRecord)
-        b = packet_breakdown(record, floor_ms=0.0)
-        if b is None:
+        parts = delay_components_ms(record)
+        if parts is None:
             return
+        _, propagation_ms, align_ms, queue_ms, spread_ms, harq_ms = parts
         self.count += 1
-        self._sums["propagation"] += b.propagation_ms
-        self._sums["tdd_alignment"] += b.tdd_alignment_ms
-        self._sums["grant_queueing"] += b.grant_queueing_ms
-        self._sums["segmentation_spread"] += b.segmentation_spread_ms
-        self._sums["harq"] += b.harq_ms
+        sums = self._sums
+        sums["propagation"] += propagation_ms
+        sums["tdd_alignment"] += align_ms
+        sums["grant_queueing"] += queue_ms
+        sums["segmentation_spread"] += spread_ms
+        sums["harq"] += harq_ms
         if self.retain_results:
-            self.breakdowns.append(b)
+            self.breakdowns.append(
+                PacketDelayBreakdown(
+                    record.packet_id,
+                    record.kind,
+                    *parts,
+                    harq_rounds=record.ran.harq_rounds,
+                )
+            )
         if self.on_breakdown is not None:
-            self.on_breakdown(record, b)
+            self.on_breakdown(record)
 
     def mean_component_ms(self) -> Dict[str, float]:
         """Running mean of each delay component (empty before any packet)."""
@@ -397,16 +407,16 @@ class _FrameBuffer(TimeOrderedOperator):
 
     def __init__(
         self,
-        key_fn: Callable[[FrameRecord], TimeUs],
+        settle_after_us: TimeUs,
         process_fn: Callable[[FrameRecord], None],
     ) -> None:
         super().__init__()
-        self._key_fn = key_fn
+        self.settle_after_us = settle_after_us
         self._process_fn = process_fn
 
     def record_key(self, channel: str, record: object) -> Optional[TimeUs]:
         assert isinstance(record, FrameRecord)
-        return self._key_fn(record)
+        return record.encode_done_us + self.settle_after_us
 
     def record_phase(self, channel: str, record: object) -> int:
         # Tie-break equal settle horizons by frame id, not arrival order:
@@ -453,9 +463,7 @@ class RootCauseOperator(StreamOperator):
         settle_after_us: TimeUs = ms(250.0),
         retention_us: TimeUs = ms(500.0),
         retain_results: bool = True,
-        on_breakdown: Optional[
-            Callable[[PacketRecord, PacketDelayBreakdown], None]
-        ] = None,
+        on_breakdown: Optional[Callable[[PacketRecord], None]] = None,
         on_diagnosis: Optional[Callable[[FrameDiagnosis], None]] = None,
     ) -> None:
         if retention_us < settle_after_us:
@@ -477,10 +485,7 @@ class RootCauseOperator(StreamOperator):
         # entries are evicted (retain_results=False).
         self._packet_ages: List[Tuple[TimeUs, int]] = []
         self._tb_ages: List[Tuple[TimeUs, int]] = []
-        self._frames = _FrameBuffer(
-            key_fn=lambda f: f.encode_done_us + self.settle_after_us,
-            process_fn=self._diagnose,
-        )
+        self._frames = _FrameBuffer(settle_after_us, self._diagnose)
 
     # ------------------------------------------------------------------
     def on_record(self, channel: str, record: object) -> None:

@@ -38,9 +38,9 @@ from ..report import CDF_HEADERS, format_table
 from .base import StreamOperator, WATERMARK_END
 from .operators import RootCauseOperator
 
-_SENDER = CapturePoint.SENDER
-_CORE = CapturePoint.CORE
-_RECEIVER = CapturePoint.RECEIVER
+_SENDER = CapturePoint.SENDER.value
+_CORE = CapturePoint.CORE.value
+_RECEIVER = CapturePoint.RECEIVER.value
 
 
 class Histogram:

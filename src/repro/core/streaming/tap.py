@@ -35,19 +35,33 @@ Operator results are collected into :attr:`results` (keyed by operator
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import TimeUs, ms
 from ...trace.bus import CHANNEL_OF, CHANNELS, TraceSink
-from ...trace.schema import (
-    FrameRecord,
-    GrantRecord,
-    PacketRecord,
-    ProbeRecord,
-    SyncExchangeRecord,
-    TransportBlockRecord,
-)
+from ...trace.schema import PacketRecord
 from .base import StreamOperator
+
+
+def _packet_event_us(record: PacketRecord) -> Optional[TimeUs]:
+    send = record.captures.get("sender")
+    if send is not None:
+        return send
+    return record.ran.enqueue_us if record.ran is not None else None
+
+
+#: channel -> getter of a record's event time: packet → sender capture (RAN
+#: enqueue when uncaptured), tb → slot, grant → issue, frame → encode
+#: completion, probe → send, sync → ``t1``.
+_EVENT_TIME_US_OF: Dict[str, Callable[[object], Optional[TimeUs]]] = {
+    "packet": _packet_event_us,
+    "tb": attrgetter("slot_us"),
+    "grant": attrgetter("issued_us"),
+    "frame": attrgetter("encode_done_us"),
+    "probe": attrgetter("sent_us"),
+    "sync": attrgetter("t1"),
+}
 
 
 def record_event_time(channel: str, record: object) -> Optional[TimeUs]:
@@ -58,26 +72,7 @@ def record_event_time(channel: str, record: object) -> Optional[TimeUs]:
     watermarks derived from it bound what the time-ordered heaps may still
     receive.
     """
-    if channel == "packet":
-        assert isinstance(record, PacketRecord)
-        send = record.captures.get("sender")
-        if send is not None:
-            return send
-        return record.ran.enqueue_us if record.ran is not None else None
-    if channel == "tb":
-        assert isinstance(record, TransportBlockRecord)
-        return record.slot_us
-    if channel == "grant":
-        assert isinstance(record, GrantRecord)
-        return record.issued_us
-    if channel == "frame":
-        assert isinstance(record, FrameRecord)
-        return record.encode_done_us
-    if channel == "probe":
-        assert isinstance(record, ProbeRecord)
-        return record.sent_us
-    assert isinstance(record, SyncExchangeRecord)
-    return record.t1
+    return _EVENT_TIME_US_OF[channel](record)
 
 
 class AnalysisTap(TraceSink):
@@ -167,7 +162,7 @@ class AnalysisTap(TraceSink):
 
     # -- delivery ------------------------------------------------------
     def _deliver(self, channel: str, record: object) -> None:
-        event_us = record_event_time(channel, record)
+        event_us = _EVENT_TIME_US_OF[channel](record)
         if event_us is not None and event_us > self._high.get(channel, 0):
             self._high[channel] = event_us
             due_at = self._due_at

@@ -45,11 +45,7 @@ from ..app.adaptation import ZoomAdaptationPolicy
 from ..app.receiver import VcaReceiver
 from ..app.sender import VcaSender
 from ..core.streaming.live import LiveDiagnosis
-from ..core.streaming.operators import (
-    FrameClusterOperator,
-    RootCauseOperator,
-    TbPacketCorrelator,
-)
+from ..core.streaming.operators import FrameClusterOperator, RootCauseOperator
 from ..core.streaming.scoped import CallScopedOperator
 from ..core.streaming.tap import AnalysisTap
 from ..media.svc import CAPTURE_SLOT_US
@@ -154,8 +150,10 @@ def _stage_analysis(ctx: SessionContext) -> None:
     config = ctx.config
     if not config.live_analysis:
         return
-    # Operator order is tap delivery order: root causes, clusters, then the
-    # TB correlator (only where there is TB telemetry to correlate against).
+    # Operator order is tap delivery order: root causes, then clusters.
+    # Only operators whose output something reads are attached; the TB
+    # correlator has no live reader (replay_trace and
+    # correlate_tbs_to_packets still give the correlation offline).
     operators = []
     for call in ctx.calls:
         diagnosis = call.diagnosis = LiveDiagnosis()
@@ -169,8 +167,6 @@ def _stage_analysis(ctx: SessionContext) -> None:
                 retain_results=False, on_cluster=diagnosis.on_cluster
             ),
         ]
-        if config.access == "5g" and call.spec.inherit(config, "record_tbs"):
-            call_ops.append(TbPacketCorrelator(call.ue_id, retain_results=False))
         if ctx.multicall:
             call_ops = [
                 CallScopedOperator(op, call.spec.call_id, call.ue_id)

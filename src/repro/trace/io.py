@@ -161,7 +161,9 @@ def export_csv(trace: Trace, directory: Union[str, Path]) -> Dict[str, Path]:
 
     Returns a map from record family to the written path.  Rows come from
     the same :meth:`~repro.trace.columnar.ChannelStore.json_rows` as the
-    JSONL lines; nested fields are JSON-encoded in a single column.
+    JSONL lines; nested fields are JSON-encoded in a single column.  The
+    header is the union of the rows' keys in first-seen order: a row omits
+    an unset ``call_id``, so a family may tag only some of its rows.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -173,7 +175,8 @@ def export_csv(trace: Trace, directory: Union[str, Path]) -> Dict[str, Path]:
         out_path = directory / f"{attr}.csv"
         rows = store.json_rows(0, store.rows)
         with out_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            fieldnames = list(dict.fromkeys(k for row in rows for k in row))
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
             writer.writeheader()
             for row in rows:
                 flat = {

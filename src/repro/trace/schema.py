@@ -49,6 +49,12 @@ class CapturePoint(str, Enum):
     RECEIVER = "receiver"  # tap 4: at the wired receiver
 
 
+#: Capture point -> its plain-str capture key.  A CapturePoint hashes and
+#: compares as its value, so a member or a plain string looks up this table
+#: and ``PacketRecord.captures`` alike, without reading the enum's ``.value``.
+_CAPTURE_KEYS: Dict[str, str] = {p.value: p.value for p in CapturePoint}
+
+
 @dataclass
 class RtpInfo:
     """RTP header fields Athena reads, including the SVC layer extension.
@@ -122,20 +128,19 @@ class PacketRecord:
     #: which predate the multi-call cell and serialize without the field).
     call_id: Optional[int] = None
 
-    def capture_at(self, point: CapturePoint) -> Optional[TimeUs]:
+    def capture_at(self, point: str) -> Optional[TimeUs]:
         """Timestamp at a capture point, or None if never seen there."""
-        return self.captures.get(point.value)
+        return self.captures.get(point)
 
-    def set_capture(self, point: CapturePoint, time_us: TimeUs) -> None:
+    def set_capture(self, point: str, time_us: TimeUs) -> None:
         """Record the observation of this packet at ``point``."""
-        self.captures[point.value] = time_us
+        # Stored under the plain-str key, never the enum member itself.
+        self.captures[_CAPTURE_KEYS[point]] = time_us
 
-    def one_way_delay_us(
-        self, src: CapturePoint, dst: CapturePoint
-    ) -> Optional[TimeUs]:
+    def one_way_delay_us(self, src: str, dst: str) -> Optional[TimeUs]:
         """One-way delay between two capture points, or None if unseen."""
-        t_src = self.captures.get(src.value)
-        t_dst = self.captures.get(dst.value)
+        t_src = self.captures.get(src)
+        t_dst = self.captures.get(dst)
         if t_src is None or t_dst is None:
             return None
         return t_dst - t_src

@@ -247,6 +247,30 @@ class TestTrendlineProperties:
         if abs(expected) < 1e6:  # polyfit can be ill-conditioned; ours is 0-safe
             assert slope == pytest.approx(expected, abs=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            ),
+            min_size=20,
+            max_size=20,
+        )
+    )
+    def test_slope_is_bit_identical_to_per_point_formula(self, points):
+        """The list-based slope equals the generator formula exactly."""
+        n = len(points)
+        mean_x = sum(p[0] for p in points) / n
+        mean_y = sum(p[1] for p in points) / n
+        num = sum((x - mean_x) * (y - mean_y) for x, y in points)
+        den = sum((x - mean_x) ** 2 for x, _ in points)
+        expected = 0.0 if den == 0 else num / den
+
+        filt = TrendlineFilter(window=20, alpha=0.9)
+        filt._points.extend(points)
+        assert filt._slope() == expected
+
     @settings(max_examples=30, deadline=None)
     @given(
         scale=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),

@@ -143,18 +143,18 @@ class TestLiveSessionPath:
         assert filecmp.cmp(paths[0], paths[1], shallow=False)
 
     @pytest.mark.parametrize("overrides, expected", [
-        ({}, ["root_causes", "clusters", "correlation"]),
+        ({}, ["root_causes", "clusters"]),
         ({"access": "emulated"}, ["root_causes", "clusters"]),
         (
             {"calls": [CallSpec(call_id=0),
                        CallSpec(call_id=1, record_tbs=False)]},
-            ["root_causes.call0", "clusters.call0", "correlation.call0",
+            ["root_causes.call0", "clusters.call0",
              "root_causes.call1", "clusters.call1"],
         ),
     ], ids=["5g", "emulated", "two-call"])
     def test_live_operators_attach_in_fixed_order(self, overrides, expected):
-        # Operator order is tap delivery order; the TB correlator attaches
-        # only to calls with TB telemetry on the 5G path.
+        # Operator order is tap delivery order; the TB correlator has no
+        # live reader, so it is not attached.
         result = run_session(
             ScenarioConfig(duration_s=1.0, seed=9, live_analysis=True,
                            **overrides)
@@ -342,25 +342,26 @@ def _watermark_log(config: ScenarioConfig):
 
 
 #: (config, call count, sha256 of the JSON call log) from the tap that
-#: recomputed every operator's watermark on every delivered record.
+#: recomputed every operator's watermark on every delivered record, less
+#: the TB correlator's entries (it has no live reader, so is not attached).
 WATERMARK_SCHEDULES = {
     "one-call": (
         ScenarioConfig(duration_s=2.0, seed=3, live_analysis=True),
-        54,
-        "a37faa10728852017535f2c7d7a8cf13f5ce4707ecb99ca9c8940b302625f98b",
+        36,
+        "8606c9610f94b2af2575c1d16025b766b4cc1d410398cb98169938902d7abf21",
     ),
     "learned-masked": (
         ScenarioConfig(duration_s=2.0, seed=3, live_analysis=True,
                        mask_ran_delay=True, aware_ran_learned=True),
-        54,
-        "eebc66404bed1f6fdeee265358a4654dccb7c5430eb12bdd9164de333389e3ab",
+        36,
+        "59b2143020bcda1eec68fa5e096e7819445024098cd3ca38910fbee062085a02",
     ),
     "two-call": (
         ScenarioConfig(duration_s=1.5, seed=3, live_analysis=True,
                        calls=[CallSpec(call_id=0),
                               CallSpec(call_id=1, record_tbs=False)]),
-        45,
-        "86b9ee0d1ee50d400e1f7e326a6ce2aa159adfd6301844043ec7bc5d17f7b0cc",
+        36,
+        "800c38e88d5df3d9f734b08b4102317de1d628b42651e8f9a114a15e3870c58f",
     ),
 }
 
@@ -409,6 +410,67 @@ class TestWatermarkSchedule:
         assert len(checked) > 10
         assert min(checked[1:-1]) > 0
         assert max(checked) < len(fed["packet"]) + len(fed["tb"])
+
+
+def _call_live(seed: int) -> ScenarioConfig:
+    """The perf ``call_live`` session: live analysis plus §5.2/§5.3."""
+    return ScenarioConfig(duration_s=3.0, seed=seed, live_analysis=True,
+                          mask_ran_delay=True, aware_ran_learned=True)
+
+
+#: session -> per call: (cause counts, packets_seen, bursts_seen, sha256 of
+#: the JSON list of ``[packet_id, ran_induced_us(packet_id)]`` over the
+#: call's trace packets).  Diagnoses never feed back into the simulation,
+#: so trace and QoE digests cannot see a broken live feed; this can.
+LIVE_FEEDS = {
+    "call_live-seed1": (_call_live(1), [
+        ({"harq_retx": 22, "none": 208, "scheduling_spread": 4}, 392, 85,
+         "9789dc87ba53dd1ffbc14f63d379d249c2499b9a6b1f3126c8f7087e0c00f414"),
+    ]),
+    "call_live-seed2": (_call_live(2), [
+        ({"harq_retx": 21, "none": 206, "scheduling_spread": 7}, 394, 85,
+         "9d54d2169b3d9f9f985e1f0b161900699efacaec3087ad8a04e6f8ccd2a3fb01"),
+    ]),
+    "call_live-seed3": (_call_live(3), [
+        ({"harq_retx": 21, "none": 210, "scheduling_spread": 3}, 398, 85,
+         "7c8f3e43626658a5835008aacb2b2afb766fff472a63b4f32d644453f2cf765d"),
+    ]),
+    "two-call": (
+        ScenarioConfig(duration_s=2.0, seed=3, live_analysis=True,
+                       mask_ran_delay=True,
+                       calls=[CallSpec(call_id=0),
+                              CallSpec(call_id=1, record_tbs=False)]),
+        [
+            ({"harq_retx": 19, "none": 89, "scheduling_spread": 48}, 262, 57,
+             "7c1e7db8ecc659a21c37026645e2113be13aa0c3fb174eee6800cd34698b87dd"),
+            ({"harq_retx": 14, "none": 92, "scheduling_spread": 50}, 252, 57,
+             "48804716ff78fb604d8d2f46467c01b63c33e740374743bd88f4fab1d5648674"),
+        ],
+    ),
+}
+
+
+class TestLiveFeedPin:
+    @pytest.mark.parametrize("name", sorted(LIVE_FEEDS))
+    def test_live_feed_is_pinned(self, name):
+        """Each call's LiveDiagnosis holds exactly the pinned feed."""
+        config, expected = LIVE_FEEDS[name]
+        result = run_session(config)
+        feeds = []
+        for call in result.calls:
+            diagnosis = call.diagnosis
+            ran_induced = [
+                [p.packet_id, diagnosis.ran_induced_us(p.packet_id)]
+                for p in call.trace.packets
+            ]
+            counts = diagnosis.cause_counts
+            feeds.append((
+                {cause.value: n for cause, n in counts.items()},
+                diagnosis.packets_seen,
+                diagnosis.bursts_seen,
+                hashlib.sha256(json.dumps(ran_induced).encode()).hexdigest(),
+            ))
+        assert feeds == expected
 
 
 class TestReplayFacades:

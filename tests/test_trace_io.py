@@ -1,5 +1,6 @@
 """Tests for trace persistence (JSONL round-trip, CSV export)."""
 
+import csv
 import json
 import re
 
@@ -150,3 +151,18 @@ def test_export_csv_skips_empty_families(tmp_path):
     trace.probes.append(ProbeRecord(probe_id=1, sent_us=0))
     written = export_csv(trace, tmp_path)
     assert set(written) == {"probes"}
+
+
+def test_export_csv_family_with_mixed_call_ids(tmp_path):
+    """A family whose first row has no call id still exports every row."""
+    trace = Trace()
+    trace.probes.append(ProbeRecord(probe_id=1, sent_us=0, received_us=900))
+    trace.probes.append(
+        ProbeRecord(probe_id=2, sent_us=1_000, received_us=1_800, call_id=1)
+    )
+    written = export_csv(trace, tmp_path)
+    with written["probes"].open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["probe_id"] for row in rows] == ["1", "2"]
+    assert [row["call_id"] for row in rows] == ["", "1"]
+    assert rows[1]["received_us"] == "1800"

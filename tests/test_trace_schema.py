@@ -31,6 +31,17 @@ def test_capture_roundtrip():
     assert p.capture_at(CapturePoint.CORE) is None
 
 
+def test_capture_keys_are_plain_strings():
+    """Members and their values address one capture; keys stay plain str."""
+    p = _packet()
+    p.set_capture(CapturePoint.SENDER, 1_000)
+    p.set_capture("core", 6_500)
+    assert [type(k) for k in p.captures] == [str, str]
+    assert p.captures == {"sender": 1_000, "core": 6_500}
+    assert p.capture_at("sender") == 1_000
+    assert p.one_way_delay_us("sender", CapturePoint.CORE) == 5_500
+
+
 def test_one_way_delay():
     p = _packet()
     p.set_capture(CapturePoint.SENDER, 1_000)
