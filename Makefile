@@ -26,11 +26,12 @@ claims:
 	$(PYTHON) -m pytest benchmarks --benchmark-disable -q
 
 # The smoke sweep, then one trace through the JSONL writer and back through
-# the streaming reader.
+# the streaming reader, once plain and once with the two-pass clock alignment.
 smoke:
 	$(PYTHON) -m repro sweep --smoke
 	$(PYTHON) -m repro run --duration 2 --out /tmp/athena-smoke-trace.jsonl
 	$(PYTHON) -m repro analyze /tmp/athena-smoke-trace.jsonl
+	$(PYTHON) -m repro analyze /tmp/athena-smoke-trace.jsonl --synchronize
 
 # Two calls sharing one cell, through the batch executor (per-call QoE rows).
 smoke-multicall:

@@ -15,7 +15,12 @@ import tempfile
 from pathlib import Path
 
 from repro.app import ScenarioConfig, run_session
-from repro.core import AthenaSession
+from repro.core import (
+    AthenaSession,
+    StreamingReportOperator,
+    render_streaming_report,
+    replay_file,
+)
 from repro.trace import CapturePoint, export_csv, load_trace, save_trace
 
 
@@ -71,10 +76,10 @@ def main() -> None:
           f"{screen.observed_fps():.1f} fps observed, "
           f"{screen.stalls(35_714)} frozen frames")
 
-    print("\n3. Full report (also: `athena-repro analyze <trace>`):\n")
-    from repro.core import athena_report
-
-    print(athena_report(athena))
+    print("\n3. Full report, streamed from the file "
+          "(also: `athena-repro analyze <trace>`):\n")
+    results = replay_file(trace_path, [StreamingReportOperator()])
+    print(render_streaming_report(results["report"]))
 
     print(f"\nTrace kept at {out_dir} for your own analysis.")
 

@@ -90,26 +90,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analysis_report(args: argparse.Namespace) -> str:
-    if args.batch or args.synchronize:
-        # The batch session loads the whole trace; --synchronize needs it
-        # (clock alignment rewrites every capture before analysis).
-        from .core import AthenaSession, athena_report
+    """The streaming report of ``args.trace``; the file is never loaded whole.
 
-        athena = AthenaSession.from_file(
-            args.trace, synchronize=args.synchronize
-        )
-        return athena_report(athena)
-    # Default: a single streaming pass; the file is never loaded whole.
-    # Memory stays O(watermark window) on time-interleaved files; files
-    # from save_trace are grouped by family, which is still correct but
-    # holds state until the last family arrives.
+    Memory stays O(watermark window) on time-interleaved files; files from
+    save_trace are grouped by family, which is still correct but holds
+    state until the last family arrives.  With ``--synchronize`` a first
+    pass estimates each host's clock offset from the recorded sync
+    exchanges, and the report pass aligns every packet as it is read.
+    """
     from .core import (
         StreamingReportOperator,
+        SyncOffsetOperator,
         render_streaming_report,
         replay_file,
     )
 
-    results = replay_file(args.trace, [StreamingReportOperator()])
+    sync = None
+    if args.synchronize:
+        offsets = SyncOffsetOperator()
+        sync = replay_file(args.trace, [offsets])[offsets.name]
+    results = replay_file(args.trace, [StreamingReportOperator()], sync=sync)
     return render_streaming_report(results["report"])
 
 
@@ -379,10 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace")
     analyze.add_argument("--synchronize", action="store_true",
                          help="align clocks from recorded sync exchanges "
-                              "before analysis (loads the full trace)")
-    analyze.add_argument("--batch", action="store_true",
-                         help="use the batch AthenaSession instead of the "
-                              "default streaming single-pass analysis")
+                              "before analysis (a second streaming pass)")
     analyze.set_defaults(fn=_cmd_analyze)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")

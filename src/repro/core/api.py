@@ -96,21 +96,6 @@ class AthenaSession:
         self.trace = trace
         self._packet_index = trace.packet_index()
 
-    @classmethod
-    def from_file(cls, path, synchronize: bool = False) -> "AthenaSession":
-        """Load a saved trace and wrap it in a session.
-
-        With ``synchronize`` the capture timestamps are first aligned using
-        the trace's recorded clock exchanges (Athena step 2).
-        """
-        from ..trace.io import load_trace
-        from .sync_pipeline import synchronize_trace
-
-        trace = load_trace(path)
-        if synchronize:
-            synchronize_trace(trace)
-        return cls(trace)
-
     # ------------------------------------------------------------------
     # Fig 3
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Plain-text reporting helpers used by benches and the CLI."""
+"""Plain-text table helpers used by the experiments and the CLI report."""
 
 from __future__ import annotations
 
@@ -55,78 +55,3 @@ def distribution_table(series: Dict[str, Sequence[float]]) -> str:
     rows = [cdf_row(name, values) for name, values in series.items()]
     return format_table(CDF_HEADERS, rows)
 
-
-def athena_report(athena) -> str:
-    """One-shot plain-text report of every analysis Athena offers.
-
-    Takes an :class:`~repro.core.api.AthenaSession`; sections that have no
-    data in the trace (e.g. TB telemetry in an emulated run) are skipped.
-    """
-    sections: List[str] = []
-    trace = athena.trace
-
-    sections.append(
-        f"records: {len(trace.packets)} packets, "
-        f"{len(trace.transport_blocks)} transport blocks, "
-        f"{len(trace.grants)} grants, {len(trace.frames)} media units, "
-        f"{len(trace.probes)} probes, "
-        f"{len(trace.sync_exchanges)} sync exchanges"
-    )
-
-    series = athena.owd_timeseries()
-    if any(series.values()):
-        sections.append(
-            "one-way delay (ms) per path segment:\n"
-            + distribution_table(
-                {name: [v for _, v in vals] for name, vals in series.items()}
-            )
-        )
-
-    delays = athena.ran_delay_by_media()
-    if delays["audio"] or delays["video"]:
-        sections.append(
-            "RAN delay by media kind (ms):\n" + distribution_table(delays)
-        )
-
-    from ..trace.schema import CapturePoint
-
-    spreads = athena.delay_spread_cdf(CapturePoint.CORE)
-    if spreads:
-        step, score = athena.spread_quantization()
-        sections.append(
-            "delay spread at the core (ms):\n"
-            + distribution_table({"spread": spreads})
-            + f"\nquantization step: {step:.1f} ms (lattice score {score:.4f})"
-        )
-
-    if trace.transport_blocks:
-        eff = athena.grant_efficiency()
-        sections.append(
-            "grant utilization: "
-            + ", ".join(f"{k} {100 * v:.0f}%" for k, v in eff.items())
-        )
-        report = athena.root_causes()
-        components = report.mean_component_ms()
-        if components:
-            rows = [[k, v] for k, v in components.items()]
-            sections.append(
-                "mean uplink delay decomposition (ms/packet):\n"
-                + format_table(["component", "ms"], rows)
-            )
-        if report.cause_counts:
-            rows = [[c.value, n] for c, n in report.cause_counts.most_common()]
-            sections.append(
-                "dominant frame-delay causes:\n"
-                + format_table(["cause", "media units"], rows)
-            )
-
-    qoe = athena.qoe()
-    medians = qoe.medians()
-    sections.append(
-        f"QoE medians: {medians['bitrate_kbps']:.0f} kbps, "
-        f"{medians['fps']:.1f} fps, jitter {medians['jitter_ms']:.2f} ms, "
-        f"SSIM {medians['ssim']:.3f}, {qoe.stall_count} stalls"
-    )
-
-    divider = "\n" + "-" * 64 + "\n"
-    return divider.join(sections)

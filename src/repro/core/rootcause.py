@@ -145,22 +145,6 @@ def delay_components_ms(
     return total_ms, propagation_ms, align_ms, queue_ms, spread_ms, harq_ms
 
 
-def packet_breakdown(
-    packet: PacketRecord, floor_ms: float
-) -> Optional[PacketDelayBreakdown]:
-    """Decompose one packet's uplink delay using RAN telemetry."""
-    del floor_ms  # the floor is inferred as the residual
-    parts = delay_components_ms(packet)
-    if parts is None:
-        return None
-    return PacketDelayBreakdown(
-        packet.packet_id,
-        packet.kind,
-        *parts,
-        harq_rounds=packet.ran.harq_rounds,
-    )
-
-
 def diagnose_frame(
     frame: FrameRecord,
     packet_index: Dict[int, PacketRecord],

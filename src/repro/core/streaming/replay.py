@@ -15,6 +15,12 @@ writes them.  Files written by :func:`~repro.trace.io.save_trace` are
 grouped by family: the result is still correct, but per-channel
 watermarks cannot advance until the last family arrives, so state is held
 until then.
+
+``analyze --synchronize`` streams the file twice: a first
+:func:`replay_file` runs :class:`~repro.core.streaming.operators.SyncOffsetOperator`
+over the ``sync`` records, and the second passes that result as ``sync``,
+so each packet is aligned to the core's clock
+(:func:`~repro.core.sync_pipeline.aligned_packet`) as it is read.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from ...sim.units import TimeUs, ms
 from ...trace.bus import CHANNEL_FIELDS
 from ...trace.io import iter_trace_records
 from ...trace.schema import Trace
+from ..sync_pipeline import SyncResult, aligned_packet
 from .base import StreamOperator
 from .tap import AnalysisTap
 
@@ -58,12 +65,16 @@ def replay_file(
     path: Union[str, Path],
     operators: Sequence[StreamOperator],
     lateness_us: Optional[TimeUs] = ms(2000.0),
+    sync: Optional[SyncResult] = None,
 ) -> Dict[str, object]:
     """Stream a JSONL trace file through ``operators`` without loading it.
 
     Returns ``{operator name: result}`` plus the file's metadata under
     ``"metadata"``.  Pass ``lateness_us=None`` to defer all time-ordered
     processing to the end (exact batch semantics at O(trace) memory).
+    With ``sync``, every packet goes through
+    :func:`~repro.core.sync_pipeline.aligned_packet` before the operators
+    see it.
     """
     tap = AnalysisTap(operators, lateness_us=lateness_us)
     metadata: Dict[str, object] = {}
@@ -72,6 +83,8 @@ def replay_file(
             assert isinstance(record, dict)
             metadata.update(record)
             continue
+        if sync is not None and tag == "packet":
+            record = aligned_packet(record, sync)
         tap.emit(record)
     tap.close()
     results = dict(tap.results)

@@ -1,8 +1,9 @@
 """Streaming session report: the ``athena-repro analyze`` accumulator.
 
-:class:`StreamingReportOperator` reproduces the sections of
-:func:`repro.core.report.athena_report` from a single pass over the
-records, without ever holding the trace:
+:class:`StreamingReportOperator` builds the whole report — record counts,
+one-way delays, RAN delay by media, delay spread and its quantization,
+grant utilization, the delay decomposition, frame causes and QoE — from a
+single pass over the records, without ever holding the trace:
 
 * distributions (one-way delays, RAN delay by media, delay spread) live in
   fixed-width histograms — percentiles come from the cumulative bin counts,
@@ -274,7 +275,11 @@ class StreamingReportOperator(StreamOperator):
 
 
 def render_streaming_report(report: StreamingReportOperator) -> str:
-    """Plain-text report with the sections of ``athena_report``."""
+    """The plain-text ``athena-repro analyze`` report of ``report``.
+
+    Sections with no data in the trace (e.g. TB telemetry in an emulated
+    run) are skipped.
+    """
     sections: List[str] = []
     counts = report.record_counts
     sections.append(

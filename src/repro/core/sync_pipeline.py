@@ -5,7 +5,10 @@ Athena's step (2) — "precisely time-synchronize this data" — done offline:
 1. estimate each capture host's clock offset against the core from the
    recorded two-way exchanges (minimum-RTT filtered, optionally with a
    linear drift fit);
-2. rewrite every packet's capture timestamps into core-referenced time.
+2. copy the trace with every packet's capture timestamps in
+   core-referenced time (:func:`synchronize_trace`), or align each packet
+   as a file is streamed (:func:`aligned_packet`, used by
+   ``athena-repro analyze --synchronize``).
 
 Without this step, cross-host one-way delays absorb the clock offsets and
 the per-segment attribution of Fig 3 is wrong; tests verify that analysis
@@ -15,10 +18,12 @@ ground truth after running this pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
-from ..trace.schema import CapturePoint, Trace
+from ..trace.schema import CapturePoint, PacketRecord, Trace
+
+_CORE = CapturePoint.CORE.value
 
 
 @dataclass
@@ -53,21 +58,42 @@ def estimate_host_offsets(trace: Trace, fit_drift: bool = False) -> SyncResult:
     return result
 
 
-def synchronize_trace(trace: Trace, sync: Optional[SyncResult] = None) -> Trace:
-    """Rewrite all capture timestamps into the core's clock, in place-ish.
+def aligned_packet(packet: PacketRecord, sync: SyncResult) -> PacketRecord:
+    """A copy of ``packet`` with its captures in the core's clock.
 
-    Returns the same ``trace`` object with every non-core capture shifted
-    by the (negated) estimated host offset.  Probe records are already
-    core-stamped and are left untouched.
+    Every non-core capture is shifted by the (negated) estimated offset of
+    its host; ``packet`` itself is not touched.  This is the one definition
+    of the clock correction: :func:`synchronize_trace` maps it over a
+    trace, and :func:`~repro.core.streaming.replay.replay_file` applies it
+    to each packet as it is read.
+    """
+    captures = {
+        point: local if point == _CORE else int(local - sync.offset_for(point))
+        for point, local in packet.captures.items()
+    }
+    return replace(packet, captures=captures)
+
+
+def synchronize_trace(trace: Trace, sync: Optional[SyncResult] = None) -> Trace:
+    """A new trace with every capture timestamp in the core's clock.
+
+    Packets are copied through :func:`aligned_packet`; the other record
+    families are already core-stamped (probes) or carry no capture stamps,
+    and are carried over as they are.  The metadata is a copy that also
+    records ``synchronized`` and the ``estimated_offsets_us`` applied.
+    ``trace`` is left unchanged, whether it holds rows or decoded columns.
     """
     if sync is None:
         sync = estimate_host_offsets(trace)
-    core = CapturePoint.CORE.value
-    for packet in trace.packets:
-        for point, local in list(packet.captures.items()):
-            if point == core:
-                continue
-            packet.captures[point] = int(local - sync.offset_for(point))
-    trace.metadata["synchronized"] = True
-    trace.metadata["estimated_offsets_us"] = dict(sync.offsets_us)
-    return trace
+    metadata = dict(trace.metadata)
+    metadata["synchronized"] = True
+    metadata["estimated_offsets_us"] = dict(sync.offsets_us)
+    return Trace(
+        metadata=metadata,
+        packets=[aligned_packet(packet, sync) for packet in trace.packets],
+        transport_blocks=list(trace.transport_blocks),
+        grants=list(trace.grants),
+        frames=list(trace.frames),
+        probes=list(trace.probes),
+        sync_exchanges=list(trace.sync_exchanges),
+    )

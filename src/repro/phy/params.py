@@ -47,7 +47,6 @@ class RanConfig:
     # UE can then starve light flows under overload).
     scheduler_policy: str = "round_robin"
     sr_grant_bits: int = 2_000  # initial grant after a scheduling request
-    max_grant_bits_per_slot: int = 0  # 0 = no per-grant cap beyond capacity
 
     # --- HARQ (§3.2) / RLC --------------------------------------------------
     harq_rtt_us: TimeUs = ms(10.0)  # retransmission delay per round

@@ -78,7 +78,9 @@ class TestCommands:
         assert rc == 2
         assert "unknown sweep" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", [[], ["--batch"]], ids=["streaming", "batch"])
+    @pytest.mark.parametrize(
+        "mode", [[], ["--synchronize"]], ids=["streaming", "synchronize"]
+    )
     def test_analyze_malformed_trace(self, tmp_path, capsys, mode):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "meta"}\n{"type": "grant", "bogus": 1}\n')
@@ -89,7 +91,9 @@ class TestCommands:
         assert f"{path}:2:" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("mode", [[], ["--batch"]], ids=["streaming", "batch"])
+    @pytest.mark.parametrize(
+        "mode", [[], ["--synchronize"]], ids=["streaming", "synchronize"]
+    )
     def test_analyze_missing_file(self, tmp_path, capsys, mode):
         path = tmp_path / "missing.jsonl"
         rc = main(["analyze", str(path), *mode])
@@ -98,6 +102,14 @@ class TestCommands:
         assert err.startswith("error: ")
         assert str(path) in err
         assert "Traceback" not in err
+
+    def test_analyze_batch_flag_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"type": "meta"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), "--batch"])
+        assert exc.value.code == 2
+        assert "--batch" in capsys.readouterr().err
 
     def test_run_invalid_duration(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
@@ -116,3 +128,80 @@ class TestReproduceAll:
             ["reproduce-all", "--out", "x", "--scale", "0.5"]
         )
         assert args.scale == 0.5
+
+
+def _section(text, title):
+    """``{first cell: rest}`` of the table printed under ``title``."""
+    block = text.split(title, 1)[1].split("-" * 64, 1)[0]
+    lines = block.strip("\n").splitlines()[2:]  # header and rule
+    return {line.split()[0]: line.split()[1:] for line in lines}
+
+
+class TestAnalyzeSynchronize:
+    """``analyze --synchronize``: two streaming passes over a skewed file."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self, tmp_path_factory):
+        from repro.app import ScenarioConfig, run_session
+        from repro.net.topology import PathConfig
+        from repro.trace import save_trace
+
+        config = ScenarioConfig(
+            duration_s=6.0, seed=7, record_tbs=True, time_sync=True,
+            path=PathConfig(
+                clock_offsets_us={"sender": 6_000, "receiver": -3_000}
+            ),
+        )
+        path = tmp_path_factory.mktemp("skewed") / "t.jsonl"
+        save_trace(run_session(config).trace, path)
+        return path
+
+    def _analyze(self, capsys, *argv):
+        assert main(["analyze", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_matches_the_synchronized_session(
+        self, skewed, capsys, monkeypatch
+    ):
+        from repro.core import AthenaSession, format_table, synchronize_trace
+        from repro.trace import io
+
+        athena = AthenaSession(synchronize_trace(io.load_trace(skewed)))
+
+        def no_load(path):
+            raise AssertionError("analyze loaded the whole trace")
+
+        monkeypatch.setattr(io, "load_trace", no_load)
+        out = self._analyze(capsys, str(skewed), "--synchronize")
+        trace = athena.trace
+        assert (
+            f"records: {len(trace.packets)} packets, "
+            f"{len(trace.transport_blocks)} transport blocks, "
+            f"{len(trace.grants)} grants, {len(trace.frames)} media units, "
+            f"{len(trace.probes)} probes, "
+            f"{len(trace.sync_exchanges)} sync exchanges"
+        ) in out
+        report = athena.root_causes()
+        causes = _section(out, "dominant frame-delay causes:")
+        assert {cause: int(n) for cause, (n,) in causes.items()} == {
+            cause.value: n for cause, n in report.cause_counts.items()
+        }
+        components = report.mean_component_ms()
+        assert format_table(
+            ["component", "ms"], [[k, v] for k, v in components.items()]
+        ) in out
+        assert "quantization step: 2.5 ms" in out
+
+    def test_offsets_move_the_uplink_delays(self, skewed, capsys):
+        raw = _section(self._analyze(capsys, str(skewed)),
+                       "one-way delay (ms) per path segment:")
+        synced = _section(self._analyze(capsys, str(skewed), "--synchronize"),
+                          "one-way delay (ms) per path segment:")
+        # p50 column: the 6 ms-fast sender clock shrank raw uplink delays,
+        # the 3 ms-slow receiver clock shrank the downstream ones.
+        uplink = float(synced["rtp_sender_core"][1]) - float(
+            raw["rtp_sender_core"][1])
+        downstream = float(synced["rtp_core_receiver"][1]) - float(
+            raw["rtp_core_receiver"][1])
+        assert uplink == pytest.approx(6.0, abs=1.5)
+        assert downstream == pytest.approx(3.0, abs=1.5)

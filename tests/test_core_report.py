@@ -1,4 +1,4 @@
-"""Tests for report formatting helpers."""
+"""Tests for the report table helpers and the streaming report text."""
 
 import math
 
@@ -45,26 +45,35 @@ def test_distribution_table_combines_series():
     assert "p50" in out
 
 
-def test_athena_report_full_session():
+def _streaming_report(trace):
+    from repro.core import (
+        StreamingReportOperator,
+        render_streaming_report,
+        replay_trace,
+    )
+
+    results = replay_trace(trace, [StreamingReportOperator()])
+    return render_streaming_report(results["report"])
+
+
+def test_streaming_report_full_session():
     from repro.app import ScenarioConfig, run_session
-    from repro.core import AthenaSession, athena_report
 
     result = run_session(ScenarioConfig(duration_s=5.0, seed=2,
                                         record_tbs=True))
-    text = athena_report(AthenaSession(result.trace))
+    text = _streaming_report(result.trace)
     for fragment in ("records:", "one-way delay", "RAN delay by media",
                      "delay spread", "grant utilization",
                      "delay decomposition", "QoE medians"):
         assert fragment in text
 
 
-def test_athena_report_emulated_skips_phy_sections():
+def test_streaming_report_emulated_skips_phy_sections():
     from repro.app import ScenarioConfig, run_session
-    from repro.core import AthenaSession, athena_report
 
     result = run_session(ScenarioConfig(duration_s=4.0, seed=2,
                                         access="emulated",
                                         record_tbs=False))
-    text = athena_report(AthenaSession(result.trace))
+    text = _streaming_report(result.trace)
     assert "grant utilization" not in text
     assert "QoE medians" in text

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.app import ScenarioConfig, run_session
-from repro.core import DelayCause, analyze_root_causes, packet_breakdown
+from repro.core import DelayCause, analyze_root_causes
+from repro.core.rootcause import delay_components_ms
 from repro.phy import RanConfig
 from repro.trace import (
     CapturePoint,
@@ -34,25 +35,27 @@ class TestPacketBreakdown:
     def test_components_reported(self):
         p = _telemetry_packet(16.0, align_ms=2.0, queue_ms=1.0, harq_ms=10.0,
                               rounds=1)
-        b = packet_breakdown(p, floor_ms=0.0)
-        assert b.total_ms == pytest.approx(16.0)
-        assert b.tdd_alignment_ms == pytest.approx(2.0)
-        assert b.grant_queueing_ms == pytest.approx(1.0)
-        assert b.harq_ms == pytest.approx(10.0)
-        assert b.propagation_ms == pytest.approx(3.0)
-        assert b.residual_ms() == pytest.approx(0.0, abs=1e-9)
+        total, propagation, align, queue, spread, harq = delay_components_ms(p)
+        assert total == pytest.approx(16.0)
+        assert align == pytest.approx(2.0)
+        assert queue == pytest.approx(1.0)
+        assert harq == pytest.approx(10.0)
+        assert propagation == pytest.approx(3.0)
+        assert total == pytest.approx(
+            propagation + align + queue + spread + harq, abs=1e-9
+        )
 
     def test_none_without_telemetry(self):
         p = PacketRecord(packet_id=1, flow_id="v", kind=MediaKind.VIDEO,
                          size_bytes=100)
         p.set_capture(CapturePoint.SENDER, 0)
         p.set_capture(CapturePoint.CORE, 1_000)
-        assert packet_breakdown(p, 0.0) is None
+        assert delay_components_ms(p) is None
 
     def test_none_without_core_capture(self):
         p = _telemetry_packet(10.0)
         del p.captures[CapturePoint.CORE.value]
-        assert packet_breakdown(p, 0.0) is None
+        assert delay_components_ms(p) is None
 
 
 class TestEndToEndAttribution:

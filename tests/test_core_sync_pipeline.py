@@ -1,5 +1,7 @@
 """Tests for the trace synchronization pipeline (Athena step 2)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -66,17 +68,37 @@ def test_offset_estimation_accuracy(desynced):
 
 def test_synchronized_owds_match_reference(desynced, reference):
     sync = estimate_host_offsets(desynced.trace)
-    synchronize_trace(desynced.trace, sync)
-    fixed = np.median(_uplink_owds_ms(desynced.trace))
+    synced = synchronize_trace(desynced.trace, sync)
+    fixed = np.median(_uplink_owds_ms(synced))
     truth = np.median(_uplink_owds_ms(reference.trace))
     assert fixed == pytest.approx(truth, abs=1.5)
-    assert desynced.trace.metadata["synchronized"] is True
+    assert synced.metadata["synchronized"] is True
+    assert synced.metadata["estimated_offsets_us"] == sync.offsets_us
+
+
+def test_synchronize_leaves_its_input_unchanged(desynced):
+    trace = desynced.trace
+    captures = [dict(p.captures) for p in trace.packets]
+    metadata = copy.deepcopy(trace.metadata)
+    synced = synchronize_trace(trace)
+    assert synced is not trace
+    assert [p.captures for p in trace.packets] == captures
+    assert repr(trace.metadata) == repr(metadata)
+    assert "synchronized" not in trace.metadata
+    # The sender's fast clock moved every synced sender stamp back.
+    sender = CapturePoint.SENDER.value
+    shifted = [
+        (before[sender], after.captures[sender])
+        for before, after in zip(captures, synced.packets)
+        if sender in before
+    ]
+    assert shifted and all(after < before for before, after in shifted)
+    assert synced.sync_exchanges == list(trace.sync_exchanges)
 
 
 def test_analytics_recover_after_sync():
     result = _desynced_session(seed=5)
-    synchronize_trace(result.trace)
-    athena = AthenaSession(result.trace)
+    athena = AthenaSession(synchronize_trace(result.trace))
     series = athena.owd_timeseries()
     uplink = [v for _, v in series["rtp_sender_core"]]
     # After alignment the uplink delay floor is physical again (>= ~2 ms

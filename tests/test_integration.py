@@ -86,13 +86,13 @@ def test_athena_from_file(result, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fromfile")
     path = tmp / "run.jsonl"
     save_trace(result.trace, path)
-    athena = AthenaSession.from_file(path)
+    athena = AthenaSession(load_trace(path))
     assert len(athena.trace.packets) == len(result.trace.packets)
     assert athena.spread_quantization()[0] == 2.5
 
 
 def test_athena_from_file_with_sync(tmp_path_factory):
-    from repro.core import AthenaSession
+    from repro.core import AthenaSession, synchronize_trace
     from repro.net.topology import PathConfig
 
     config = ScenarioConfig(
@@ -103,9 +103,9 @@ def test_athena_from_file_with_sync(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sync")
     path = tmp / "run.jsonl"
     save_trace(res.trace, path)
-    raw = AthenaSession.from_file(path)
+    raw = AthenaSession(load_trace(path))
     raw_uplink = [v for _, v in raw.owd_timeseries()["rtp_sender_core"]]
-    synced = AthenaSession.from_file(path, synchronize=True)
+    synced = AthenaSession(synchronize_trace(load_trace(path)))
     synced_uplink = [v for _, v in synced.owd_timeseries()["rtp_sender_core"]]
     # The 6 ms-fast sender clock shrank raw OWDs; sync restores them.
     assert np.median(synced_uplink) - np.median(raw_uplink) > 4.0

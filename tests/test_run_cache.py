@@ -81,9 +81,9 @@ class TestFingerprint:
 
     @pytest.mark.parametrize("config, key", [
         (ScenarioConfig(),
-         "f48eb0865ee0c8c77d12473144dba63c4fe0f138af595e3bef76ee11ff162452"),
+         "a504e019574956aa9a0f7405ab359d63b52d7d54b2c749c070099cee0e7d30d0"),
         (ScenarioConfig(calls=[CallSpec(call_id=0), CallSpec(call_id=1)]),
-         "efca0766c9a75fcb5073716d26ffe8d082a6dbd14e48e7cefab0e8c809a55cf2"),
+         "08629b10091c3b14847f9e2ad39dc0d6b4dffebfa906248f64e427278cc69d42"),
     ], ids=["default", "two-call"])
     def test_canonical_form_is_pinned(self, config, key):
         # The unsalted canonical form must not move when config fields that

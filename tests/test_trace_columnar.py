@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import SyncResult, synchronize_trace
 from repro.net.topology import PathConfig
 from repro.run import CallSpec, ScenarioConfig, run_session
 from repro.trace import (
@@ -85,6 +86,12 @@ GOLDEN_TWO_CALL_JSONL = {
 #: family and a ``meta`` line with nested metadata.
 GOLDEN_SYNC_JSONL = "8758b7f45eb4ecc3b9b0317de63426d76f740758edf69e5b28e5835c1e5e3a16"
 
+#: The same session after ``synchronize_trace``: every sender stamp is in
+#: the core's clock and the ``meta`` line records the estimated offsets.
+GOLDEN_SYNCHRONIZED_JSONL = (
+    "678d919fa3f3621327a2ddc96c33c8f949947b604ba14dd7af5f8f8d6408d829"
+)
+
 #: sha256 of each export_csv file of ``ScenarioConfig(seed=7, duration_s=1.0,
 #: record_grants=True)``, written by the same earlier row renderer.
 GOLDEN_CSV = {
@@ -145,6 +152,23 @@ class TestGoldenByteIdentity:
             _saved_sha256(_round_trip(mem), tmp_path / "col.jsonl")
             == GOLDEN_SYNC_JSONL
         )
+
+    def test_synchronized_file_is_pinned(self, tmp_path):
+        mem = _run(ScenarioConfig(
+            seed=7, duration_s=1.0, time_sync=True,
+            path=PathConfig(clock_offsets_us={"sender": 6_000}),
+        ))
+        for name, trace in (("mem", mem), ("col", _round_trip(mem))):
+            synced = synchronize_trace(trace)
+            assert (
+                _saved_sha256(synced, tmp_path / f"{name}-synced.jsonl")
+                == GOLDEN_SYNCHRONIZED_JSONL
+            ), name
+            # The input still saves to the unsynchronized bytes.
+            assert (
+                _saved_sha256(trace, tmp_path / f"{name}.jsonl")
+                == GOLDEN_SYNC_JSONL
+            ), name
 
     def test_csv_files_are_pinned(self, tmp_path):
         mem = _run(ScenarioConfig(seed=7, duration_s=1.0, record_grants=True))
@@ -302,6 +326,43 @@ def test_saved_file_loads_back_for_random_sessions(tmp_path_factory, mem):
     assert repr(loaded.metadata) == repr(mem.metadata)
     for family in FAMILIES:
         assert list(getattr(loaded, family)) == list(getattr(mem, family))
+
+
+_offsets = st.dictionaries(
+    st.sampled_from(["sender", "core", "sfu", "receiver"]),
+    st.one_of(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    max_size=4,
+)
+
+
+def _public_outputs(trace, directory):
+    """Every serialized form of ``trace``: JSONL, CSV files and payload."""
+    directory.mkdir()
+    save_trace(trace, directory / "t.jsonl")
+    csvs = export_csv(trace, directory / "csv")
+    return (
+        (directory / "t.jsonl").read_bytes(),
+        {attr: path.read_bytes() for attr, path in csvs.items()},
+        encode_payload(trace),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(mem=_row_trace(), offsets=_offsets)
+def test_synchronize_agrees_on_row_and_decoded_traces(
+    tmp_path_factory, mem, offsets
+):
+    sync = SyncResult(offsets_us=offsets)
+    col = _round_trip(mem)
+    before = encode_payload(col)
+    tmp = tmp_path_factory.mktemp("sync")
+    assert _public_outputs(synchronize_trace(mem, sync), tmp / "mem") == (
+        _public_outputs(synchronize_trace(col, sync), tmp / "col")
+    )
+    assert encode_payload(col) == before == encode_payload(mem)
 
 
 def _scalar_fields(channel):
